@@ -111,7 +111,8 @@ def _dispatch_overhead(n_items: int = 64) -> dict:
 
     This is the overhead batching amortizes: a batch of B measurements
     pays it once instead of B times.  The process number includes pool
-    start-up — deliberately, since that is what a study actually pays.
+    start-up and shutdown — deliberately, since a one-map stand-alone
+    call pays both (a session pays them once, across all its maps).
     """
     overhead = {}
     for backend, n_jobs in (
@@ -119,9 +120,9 @@ def _dispatch_overhead(n_items: int = 64) -> dict:
         ("thread", N_WORKERS),
         ("process", N_WORKERS),
     ):
-        executor = ParallelExecutor(n_jobs, backend=backend)
         start = time.perf_counter()
-        executor.map(_noop, list(range(n_items)))
+        with ParallelExecutor(n_jobs, backend=backend) as executor:
+            executor.map(_noop, list(range(n_items)))
         overhead[backend] = (time.perf_counter() - start) / n_items
     return overhead
 

@@ -5,7 +5,8 @@ runs — one :class:`~repro.engine.cache.MeasurementCache` (so a variance
 study warms the cache for the normality study that re-measures the same
 seeds, and a repeated spec replays without a single refit) and one
 :class:`~repro.engine.executor.ParallelExecutor` per ``(n_jobs, backend)``
-configuration — and executes declarative
+configuration, each with one warm worker pool that :meth:`Session.close`
+joins — and executes declarative
 :class:`~repro.api.spec.StudySpec` descriptions through the registry::
 
     from repro.api import Session, StudySpec
@@ -464,20 +465,26 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """Shut down the submit pool and persist disk-backed caches.
+        """Shut down the submit pool and the executors' worker pools, and
+        persist disk-backed caches.
 
-        Every cache bound to a file path — a ``Session(cache="...")``
-        shared cache or per-spec ``StudySpec(cache="file.pkl")`` caches —
-        is saved here (each run that added entries also saved eagerly, so
-        this is a final belt-and-braces snapshot).  Blocking :meth:`run`
-        stays usable after close.
+        Worker pools are joined here, so no worker process outlives the
+        session.  Every cache bound to a file path — a
+        ``Session(cache="...")`` shared cache or per-spec
+        ``StudySpec(cache="file.pkl")`` caches — is saved here (each run
+        that added entries also saved eagerly, so this is a final
+        belt-and-braces snapshot).  Blocking :meth:`run` stays usable after
+        close: its executor starts a fresh worker pool on demand.
         """
         with self._lock:
             pool, self._pool = self._pool, None
             self._closed = True
             file_caches = list(self._file_caches.values())
+            executors = list(self._executors.values())
         if pool is not None:
             pool.shutdown(wait=True)
+        for executor in executors:
+            executor.close()
         for cache in (self.cache, *file_caches):
             if cache.cache_dir is not None:
                 cache.save()  # entries were written through; refresh the index

@@ -308,9 +308,10 @@ def hpo_variance_study(
     All :math:`\\xi_O` seeds are held fixed; only the HOpt seed is varied
     across ``n_repetitions`` independent HOpt runs per algorithm (Section
     2.2).  The returned scores are the test performances obtained with each
-    run's selected hyperparameters.  Per algorithm, the repetitions are
-    independent: their seed bundles are pre-drawn and the batch runs
-    through the measurement engine (``n_jobs`` workers).
+    run's selected hyperparameters.  The repetitions are independent:
+    their seed bundles are pre-drawn, and every algorithm's repetitions
+    run as one batch through the measurement engine (``n_jobs``
+    workers).
 
     Parameters
     ----------
@@ -326,8 +327,8 @@ def hpo_variance_study(
         Seed or generator (stream-drawn seeds; ignored when ``scope`` is
         given).
     runner:
-        Measurement engine used to execute each algorithm's batch; built
-        on demand from ``n_jobs`` when omitted.
+        Measurement engine used to execute the batch; built on demand
+        from ``n_jobs`` when omitted.
     n_jobs:
         Worker count for the on-demand runner.
     scope:
@@ -344,36 +345,31 @@ def hpo_variance_study(
     else:
         rng = check_random_state(random_state)
         base_seeds = SeedBundle.random(rng)
-    results: Dict[str, np.ndarray] = {}
-    original_algorithm = process.hpo_algorithm
-    try:
-        for name, algorithm in hpo_algorithms.items():
-            process.hpo_algorithm = algorithm
-            # Batches must stay per-algorithm: the process is mutated above,
-            # so each batch is submitted (and finishes) before switching.
+    # Every item carries its algorithm, so all algorithms x repetitions go
+    # out as one batch and the process is never mutated.
+    items = []
+    for name, algorithm in hpo_algorithms.items():
+        for i in range(n_repetitions):
             if scope is not None:
-                items = [
-                    WorkItem(
-                        seeds=base_seeds.with_seeds(
-                            hopt=scope.child("algorithm", name)
-                            .child("rep", i)
-                            .seed()
-                        ),
-                        with_hpo=True,
-                        scope_path=scope.child("algorithm", name)
-                        .child("rep", i)
-                        .path_str(),
-                    )
-                    for i in range(n_repetitions)
-                ]
+                rep_scope = scope.child("algorithm", name).child("rep", i)
+                seeds = base_seeds.with_seeds(hopt=rep_scope.seed())
+                scope_path = rep_scope.path_str()
             else:
-                items = [
-                    WorkItem(seeds=base_seeds.randomized(["hopt"], rng), with_hpo=True)
-                    for _ in range(n_repetitions)
-                ]
-            results[name] = runner.run_scores(items)
-    finally:
-        process.hpo_algorithm = original_algorithm
+                seeds = base_seeds.randomized(["hopt"], rng)
+                scope_path = None
+            items.append(
+                WorkItem(
+                    seeds=seeds,
+                    with_hpo=True,
+                    scope_path=scope_path,
+                    hpo_algorithm=algorithm,
+                )
+            )
+    scores = runner.run_scores(items)
+    results: Dict[str, np.ndarray] = {}
+    for position, name in enumerate(hpo_algorithms):
+        start = position * n_repetitions
+        results[name] = scores[start : start + n_repetitions]
     return results
 
 

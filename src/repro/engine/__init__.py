@@ -24,6 +24,7 @@ from repro.engine.executor import (
     CancellableExecutor,
     ParallelExecutor,
     StudyCancelled,
+    ensure_executor,
     resolve_n_jobs,
 )
 from repro.engine.runner import StudyRunner, WorkItem
@@ -35,6 +36,7 @@ __all__ = [
     "CancellableExecutor",
     "ParallelExecutor",
     "StudyCancelled",
+    "ensure_executor",
     "resolve_n_jobs",
     "StudyRunner",
     "WorkItem",

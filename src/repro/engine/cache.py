@@ -187,12 +187,16 @@ def measurement_key(
     hparams: Optional[Mapping[str, Any]],
     *,
     with_hpo: bool = False,
+    hpo_algorithm: Any = None,
 ) -> str:
     """Content hash identifying one measurement of ``process``.
 
     Two calls with equal keys are guaranteed to produce identical
     :class:`~repro.core.benchmark.Measurement` values (the benchmark
-    process is deterministic given its seeds).
+    process is deterministic given its seeds).  ``hpo_algorithm`` names
+    the optimizer a ``with_hpo`` measurement runs (``None``: the
+    process's own); the key depends only on its class and scalar config,
+    so it equals the key of a process carrying that algorithm.
     """
     payload = {
         "dataset": _dataset_token(process.dataset),
@@ -206,7 +210,7 @@ def measurement_key(
         "with_hpo": bool(with_hpo),
     }
     if with_hpo:
-        algorithm = process.hpo_algorithm
+        algorithm = process.hpo_algorithm if hpo_algorithm is None else hpo_algorithm
         payload["hpo_algorithm"] = {
             "class": type(algorithm).__name__,
             # Scalar config attributes distinguish differently-tuned

@@ -17,17 +17,48 @@ and return results in submission order*.  Three backends are supported:
 Because every study pre-draws its seeds *before* submitting work, results
 are bitwise independent of the backend, the number of workers, and the
 completion order.
+
+Pool lifetime
+-------------
+Each executor owns at most one worker pool.  The first map that needs
+workers starts it; every later map reuses it — a session's runs, a
+study's batches and concurrent ``Session.submit`` shards all share the
+same warm workers, so pool start is paid once per executor rather than
+once per batch.  :meth:`ParallelExecutor.close` (called by
+:meth:`repro.api.session.Session.close`, or on leaving a
+``with ParallelExecutor(...)`` block) shuts the pool down and joins its
+workers; the executor stays usable, and its next map starts a fresh pool.
+An executor garbage-collected without ``close`` has its pool shut down
+by a :func:`weakref.finalize` backstop.  A pool broken by a dead worker
+(:class:`~concurrent.futures.process.BrokenProcessPool`) is discarded:
+that map raises, and the next one starts a fresh pool.
+
+Cancel slots
+------------
+A :class:`threading.Event` cannot cross into process workers, so a
+process pool starts with a shared array of cancel slots that its
+initializer installs in every worker.  Each cancellable map leases one
+slot, stamps it with a fresh generation number and wraps its function in
+a guard that checks the slot before every item; a relay thread clears the
+slot once the caller's event is set.  In-flight items finish, the map's
+queued items raise :class:`StudyCancelled`, and other maps sharing the
+pool run on untouched.  Releasing a slot clears it too, so stale queued
+items of a cancelled map never run, even after the slot is leased again.
+Thread pools check the caller's event directly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+import weakref
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.telemetry.instruments import (
     EXECUTOR_DISPATCH_SECONDS,
@@ -39,6 +70,7 @@ __all__ = [
     "CancellableExecutor",
     "ParallelExecutor",
     "StudyCancelled",
+    "ensure_executor",
     "resolve_n_jobs",
 ]
 
@@ -46,24 +78,34 @@ __all__ = [
 class StudyCancelled(RuntimeError):
     """Raised inside a work fan-out once its cancellation event is set."""
 
-#: Per-process cancellation flag installed in pool workers (see
-#: :func:`_install_process_cancel`).  A plain module global: each worker
-#: process owns its interpreter, and the parent never sets it.
-_PROCESS_CANCEL = None
+
+#: Cancel slots per process pool: the most cancellable maps that can be in
+#: flight on one pool at once (further maps wait for a free slot).
+_CANCEL_SLOTS = 64
+
+#: The cancel-slot table of the pool this worker process belongs to
+#: (installed by :func:`_install_cancel_slots`; never set in the parent).
+_CANCEL_SLOT_TABLE = None
 
 
-def _install_process_cancel(event) -> None:
-    """Pool initializer: remember the shared multiprocessing event."""
-    global _PROCESS_CANCEL
-    _PROCESS_CANCEL = event
+def _install_cancel_slots(table) -> None:
+    """Process-pool initializer: remember the pool's shared slot table."""
+    global _CANCEL_SLOT_TABLE
+    _CANCEL_SLOT_TABLE = table
 
 
-def _cancel_checked(fn, item):
-    """Per-item guard run inside pool workers: check the relayed event
-    before every item, so a cancelled process batch stops between items
-    instead of draining to the batch boundary."""
-    event = _PROCESS_CANCEL
-    if event is not None and event.is_set():
+def _slot_checked(slot: int, generation: int, fn, item):
+    """Per-item guard run inside process workers: an item runs only while
+    its map's slot still holds the map's generation, so a cancelled map
+    stops between items instead of draining to the batch boundary."""
+    if _CANCEL_SLOT_TABLE[slot] != generation:
+        raise StudyCancelled("batch cancelled mid-run")
+    return fn(item)
+
+
+def _event_checked(event: threading.Event, fn, item):
+    """Per-item guard run in thread workers."""
+    if event.is_set():
         raise StudyCancelled("batch cancelled mid-run")
     return fn(item)
 
@@ -118,8 +160,84 @@ def resolve_n_jobs(n_jobs: int) -> int:
     return max(1, n_jobs)
 
 
+class _Pool:
+    """One live worker pool and, for processes, its cancel-slot table."""
+
+    def __init__(self, backend: str, n_jobs: int, owner: "ParallelExecutor") -> None:
+        if backend == "thread":
+            self.slots = None
+            self.workers = ThreadPoolExecutor(
+                max_workers=n_jobs, thread_name_prefix="repro-pool"
+            )
+        else:
+            self.slots = multiprocessing.get_context().Array(
+                "q", _CANCEL_SLOTS, lock=False
+            )
+            self.workers = ProcessPoolExecutor(
+                max_workers=n_jobs,
+                initializer=_install_cancel_slots,
+                initargs=(self.slots,),
+            )
+        self._free = list(range(_CANCEL_SLOTS))
+        self._slot_freed = threading.Condition()
+        self._generations = itertools.count(1)
+        # Backstop for an owner collected without close(): process workers
+        # are joined (reaped); thread workers are not, since the collection
+        # may run on one of them.
+        self._finalizer = weakref.finalize(
+            owner, self.workers.shutdown, wait=self.slots is not None
+        )
+
+    def shutdown(self) -> None:
+        """Shut the pool down and join its workers (idempotent)."""
+        self._finalizer.detach()
+        self.workers.shutdown(wait=True)
+
+    @contextlib.contextmanager
+    def guarded(
+        self, fn: Callable[[T], R], cancel: Optional[threading.Event]
+    ) -> Iterator[Callable[[T], R]]:
+        """``fn`` wrapped to stop between items once ``cancel`` is set."""
+        if cancel is None:
+            yield fn
+            return
+        if self.slots is None:
+            yield functools.partial(_event_checked, cancel, fn)
+            return
+        with self._slot_freed:
+            while not self._free:
+                self._slot_freed.wait()
+            slot = self._free.pop()
+            generation = next(self._generations)
+        slots = self.slots
+        slots[slot] = generation
+        released = threading.Event()
+
+        def _relay() -> None:
+            while not released.is_set():
+                if cancel.wait(0.02):
+                    slots[slot] = 0
+                    return
+
+        relay = threading.Thread(target=_relay, name="repro-cancel-relay", daemon=True)
+        relay.start()
+        try:
+            yield functools.partial(_slot_checked, slot, generation, fn)
+        finally:
+            released.set()
+            relay.join()
+            slots[slot] = 0
+            with self._slot_freed:
+                self._free.append(slot)
+                self._slot_freed.notify()
+
+
 class ParallelExecutor:
     """Map a function over items with a fixed worker budget.
+
+    The worker pool is started by the first map that needs one and reused
+    until :meth:`close`; the executor is also a context manager that
+    closes on exit.
 
     Parameters
     ----------
@@ -159,6 +277,24 @@ class ParallelExecutor:
         if int(batch_size) < 1:
             raise ValueError("batch_size must be a positive integer")
         self.batch_size = int(batch_size)
+        self._pool: Optional[_Pool] = None
+        self._pool_lock = threading.Lock()
+
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down and join its workers (idempotent).
+
+        The executor stays usable: a later map starts a fresh pool.
+        """
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     @property
     def effective_backend(self) -> str:
@@ -180,14 +316,11 @@ class ParallelExecutor:
 
         When ``cancel`` is given, the fan-out stops as soon as the event is
         observed set: always before the batch starts, and per item on
-        every backend.  The process backend cannot see a
-        :class:`threading.Event` across pickling, so a relay thread
-        mirrors it into a :class:`multiprocessing.Event` installed in each
-        pool worker, and a per-item guard checks that before every call —
-        in-flight items finish, queued items of the same batch do not.
-        Cancellation raises :class:`StudyCancelled` rather than returning
-        partial results, so a caller can never mistake a truncated batch
-        for a complete one.
+        every backend (process workers see it through a leased cancel
+        slot, see the module docstring) — in-flight items finish, queued
+        items of the same batch do not.  Cancellation raises
+        :class:`StudyCancelled` rather than returning partial results, so
+        a caller can never mistake a truncated batch for a complete one.
 
         ``tick`` is an optional zero-argument liveness callback invoked in
         the *calling* process once per completed item, on every backend —
@@ -231,6 +364,19 @@ class ParallelExecutor:
                 time.perf_counter() - started
             )
 
+    def _live_pool(self, backend: str) -> _Pool:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = _Pool(backend, self.n_jobs, self)
+            return self._pool
+
+    def _discard(self, pool: _Pool) -> None:
+        """Drop a broken pool so the next map starts a fresh one."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown()
+
     def _dispatch(
         self,
         fn: Callable[[T], R],
@@ -252,59 +398,35 @@ class ParallelExecutor:
                     for _ in range(weights[index] if weights is not None else 1):
                         tick()
             return results
-        workers = min(self.n_jobs, len(items))
-        if backend == "thread":
-            guarded = fn
-            if cancel is not None:
-                def guarded(item, _fn=fn, _cancel=cancel):
-                    if _cancel.is_set():
-                        raise StudyCancelled("batch cancelled mid-run")
-                    return _fn(item)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return _drain(pool.map(guarded, items), tick, weights, item_done)
         chunksize = self.chunksize
         if chunksize is None:
-            chunksize = max(1, -(-len(items) // workers))
-        if cancel is None:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, -(-len(items) // min(self.n_jobs, len(items))))
+        pool = self._live_pool(backend)
+        with pool.guarded(fn, cancel) as guarded:
+            try:
                 return _drain(
-                    pool.map(fn, items, chunksize=chunksize), tick, weights, item_done
-                )
-        # Mirror the caller's threading event into a multiprocessing event
-        # the pool workers can observe; the relay thread dies with the map.
-        context = multiprocessing.get_context()
-        process_cancel = context.Event()
-        relay_stop = threading.Event()
-
-        def _relay() -> None:
-            while not relay_stop.is_set():
-                if cancel.wait(0.02):
-                    process_cancel.set()
-                    return
-
-        relay = threading.Thread(
-            target=_relay, name="repro-cancel-relay", daemon=True
-        )
-        relay.start()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_install_process_cancel,
-                initargs=(process_cancel,),
-            ) as pool:
-                return _drain(
-                    pool.map(
-                        functools.partial(_cancel_checked, fn),
-                        items,
-                        chunksize=chunksize,
-                    ),
+                    pool.workers.map(guarded, items, chunksize=chunksize),
                     tick,
                     weights,
                     item_done,
                 )
-        finally:
-            relay_stop.set()
-            relay.join()
+            except BrokenExecutor:
+                self._discard(pool)
+                raise
+
+
+@contextlib.contextmanager
+def ensure_executor(
+    executor: Optional[ParallelExecutor], n_jobs: int = 1, *, backend: str = "thread"
+) -> Iterator[ParallelExecutor]:
+    """Yield ``executor`` as is, or — when it is ``None`` — a fresh
+    :class:`ParallelExecutor` that is closed on exit: the fallback a
+    stand-alone driver call builds for itself leaves no worker behind."""
+    if executor is not None:
+        yield executor
+        return
+    with ParallelExecutor(n_jobs, backend=backend) as owned:
+        yield owned
 
 
 class CancellableExecutor:

@@ -3,7 +3,8 @@
 :class:`StudyRunner` binds a :class:`~repro.core.benchmark.BenchmarkProcess`
 to a :class:`~repro.engine.executor.ParallelExecutor` and an optional
 :class:`~repro.engine.cache.MeasurementCache`, and executes batches of
-:class:`WorkItem` (a ``(seeds, hparams[, with_hpo])`` triple) with
+:class:`WorkItem` (seeds, hyperparameters and, for measurements that run
+their own HOpt, the optimizer to run) with
 
 * **deterministic ordering** — results come back in submission order, so a
   parallel run is bitwise identical to a serial one provided callers
@@ -67,6 +68,11 @@ class WorkItem:
     with_hpo:
         When true the measurement includes its own HOpt run
         (:meth:`~repro.core.benchmark.BenchmarkProcess.measure_with_hpo`).
+    hpo_algorithm:
+        The HOpt algorithm a ``with_hpo`` item runs; ``None`` uses the
+        process's own ``hpo_algorithm``.  Carrying it on the item lets one
+        batch mix algorithms (an HOpt-variance sweep submits every
+        algorithm's repetitions at once) without mutating the process.
     scope_path:
         Provenance label: the :class:`~repro.utils.rng.SeedScope` path the
         seeds were derived from (e.g. ``task=entailment/rep=3``), when the
@@ -79,6 +85,7 @@ class WorkItem:
     hparams: Optional[Mapping[str, Any]] = None
     with_hpo: bool = False
     scope_path: Optional[str] = None
+    hpo_algorithm: Optional[Any] = None
 
     @classmethod
     def from_scope(
@@ -110,8 +117,11 @@ def _execute_item(process: BenchmarkProcess, item: WorkItem) -> Measurement:
         # backend would race on the shared instance.  A shallow process copy
         # with its own deep-copied optimizer keeps every item independent —
         # pipelines, datasets and resamplers are fit-pure and stay shared.
+        algorithm = item.hpo_algorithm
+        if algorithm is None:
+            algorithm = process.hpo_algorithm
         process = copy.copy(process)
-        process.hpo_algorithm = copy.deepcopy(process.hpo_algorithm)
+        process.hpo_algorithm = copy.deepcopy(algorithm)
         return process.measure_with_hpo(item.seeds)
     return process.measure(item.seeds, item.hparams)
 
@@ -180,9 +190,12 @@ class StudyRunner:
         The benchmark process every work item runs against.
     executor:
         Pre-built :class:`ParallelExecutor`; overrides ``n_jobs``/``backend``.
+        The caller owns it (and closes it).
     n_jobs:
         Worker count when no executor is given (``1`` = serial, ``-1`` =
-        all cores).
+        all cores).  The runner then builds and owns its executor, and
+        closes its pool at the end of every :meth:`run` and :meth:`map`, so
+        a stand-alone call leaves no worker behind.
     backend:
         ``"thread"`` (default, no pickling constraints) or ``"process"``
         (true parallelism for pure-Python fits) when no executor is given.
@@ -207,6 +220,7 @@ class StudyRunner:
         batch_size: Optional[int] = None,
     ) -> None:
         self.process = process
+        self._owned = executor is None
         self.executor = (
             executor if executor is not None else ParallelExecutor(n_jobs, backend=backend)
         )
@@ -239,7 +253,11 @@ class StudyRunner:
 
         keys = [
             measurement_key(
-                self.process, item.seeds, item.hparams, with_hpo=item.with_hpo
+                self.process,
+                item.seeds,
+                item.hparams,
+                with_hpo=item.with_hpo,
+                hpo_algorithm=item.hpo_algorithm,
             )
             for item in items
         ]
@@ -298,6 +316,11 @@ class StudyRunner:
             return ordered  # type: ignore[return-value]
         finally:
             RUNNER_BATCH_SECONDS.observe(time.perf_counter() - started)
+            self._release_owned()
+
+    def _release_owned(self) -> None:
+        if self._owned:
+            self.executor.close()
 
     def _plan_batches(
         self, items: Sequence[WorkItem]
@@ -335,7 +358,10 @@ class StudyRunner:
     # ------------------------------------------------------------------
     def map(self, fn: Callable, items: Sequence) -> List:
         """Run an arbitrary pure function over items on this runner's executor."""
-        return self.executor.map(fn, items)
+        try:
+            return self.executor.map(fn, items)
+        finally:
+            self._release_owned()
 
 
 def ensure_runner(

@@ -7,7 +7,8 @@ changes between tasks.  This module publishes a dataset's arrays into
 :mod:`multiprocessing.shared_memory` segments exactly once per parent
 process and ships only a tiny picklable :class:`DatasetHandle` with each
 task; pool workers attach to the segments on first unpickle (and cache the
-attachment), so the dataset bytes cross the process boundary zero times.
+attachment, for at most :data:`MAX_ATTACHED` datasets), so the dataset
+bytes cross the process boundary zero times.
 
 Lifecycle
 ---------
@@ -20,13 +21,16 @@ attachments deliberately skip ``resource_tracker`` registration
 (Python < 3.13 registers attachments just like creations, and pool
 workers share the parent's tracker process), so a worker exiting — or
 being SIGKILLed — neither unlinks the parent's segments nor corrupts the
-tracker's create-side bookkeeping.
+tracker's create-side bookkeeping.  A worker keeps at most
+:data:`MAX_ATTACHED` datasets attached; an evicted dataset's segments are
+unmapped once no array of it is left.
 """
 
 from __future__ import annotations
 
 import contextlib
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, Iterator, Optional, Tuple
@@ -92,28 +96,41 @@ class DatasetHandle:
         return _attach(self)
 
 
-#: Per-process attachment cache: a worker re-attaching the same segments for
-#: every task would pay a syscall per task and could close a buffer still in
-#: use; one attachment per (x, y) pair lives for the worker's lifetime.
-_ATTACHED: Dict[Tuple[str, str], Tuple[Dataset, Tuple[shared_memory.SharedMemory, ...]]] = {}
+#: Most datasets one process keeps attached.  Pool workers live as long as
+#: their executor (a whole session), so without a bound a worker would keep
+#: every dataset it ever attached mapped — unlinked segments included.
+MAX_ATTACHED = 4
+
+#: Per-process attachment cache, least recently used first: a worker
+#: re-attaching the same segments for every task would pay a syscall per
+#: task, so each (x, y) pair stays attached until evicted.
+_ATTACHED: OrderedDict[Tuple[str, str], Dataset] = OrderedDict()
 
 
 def _attach(handle: DatasetHandle) -> Dataset:
     key = (handle.x_name, handle.y_name)
     cached = _ATTACHED.get(key)
     if cached is not None:
-        return cached[0]
+        _ATTACHED.move_to_end(key)
+        return cached
     with _untracked_attach():
         segment_x = shared_memory.SharedMemory(name=handle.x_name)
         segment_y = shared_memory.SharedMemory(name=handle.y_name)
     X = np.ndarray(handle.x_shape, dtype=np.dtype(handle.x_dtype), buffer=segment_x.buf)
     y = np.ndarray(handle.y_shape, dtype=np.dtype(handle.y_dtype), buffer=segment_y.buf)
+    for array, segment in ((X, segment_x), (y, segment_y)):
+        # SharedMemory.close() unmaps even while arrays still read the
+        # buffer, so unmap only once the array is gone: every view of it
+        # keeps it alive, so nothing can read the segment after that.
+        weakref.finalize(array, segment.close).atexit = False
     dataset = Dataset(X, y, name=handle.name, task_type=handle.task_type)
     if handle.token is not None:
         # Pre-seed the content-address memo so measurement_key never
         # re-hashes the shared arrays.
         object.__setattr__(dataset, "_repro_content_token", handle.token)
-    _ATTACHED[key] = (dataset, (segment_x, segment_y))
+    _ATTACHED[key] = dataset
+    while len(_ATTACHED) > MAX_ATTACHED:
+        _ATTACHED.popitem(last=False)
     return dataset
 
 

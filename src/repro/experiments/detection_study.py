@@ -24,7 +24,7 @@ from repro.core.comparison import (
     SinglePointComparison,
 )
 from repro.engine.cache import MeasurementCache
-from repro.engine.executor import ParallelExecutor
+from repro.engine.executor import ParallelExecutor, ensure_executor
 from repro.simulation.detection import (
     DetectionRateResult,
     detection_rate_curve,
@@ -175,8 +175,6 @@ def run_detection_study(
         seed from its own scope path, independent of sweep order.
     """
     scope = SeedScope.from_state(random_state)
-    if executor is None:
-        executor = ParallelExecutor(n_jobs, backend=backend)
     if task is None:
         task = DEFAULT_SIMULATED_TASKS[2]
     methods = default_comparison_methods(task.sigma, gamma=gamma)
@@ -188,22 +186,23 @@ def run_detection_study(
         oracle_rates=np.array([float(oracle.decide(p)) for p in probabilities_arr]),
         gamma=gamma,
     )
-    for estimator in estimators:
-        for name, method in methods.items():
-            # The single-point comparison uses one run regardless of k.
-            effective_k = 1 if isinstance(method, SinglePointComparison) else k
-            result.curves.append(
-                detection_rate_curve(
-                    method,
-                    task,
-                    probabilities_arr,
-                    k=effective_k,
-                    estimator=estimator,
-                    n_simulations=n_simulations,
-                    scope=scope.child("estimator", estimator).child("method", name),
-                    executor=executor,
+    with ensure_executor(executor, n_jobs, backend=backend) as executor:
+        for estimator in estimators:
+            for name, method in methods.items():
+                # The single-point comparison uses one run regardless of k.
+                effective_k = 1 if isinstance(method, SinglePointComparison) else k
+                result.curves.append(
+                    detection_rate_curve(
+                        method,
+                        task,
+                        probabilities_arr,
+                        k=effective_k,
+                        estimator=estimator,
+                        n_simulations=n_simulations,
+                        scope=scope.child("estimator", estimator).child("method", name),
+                        executor=executor,
+                    )
                 )
-            )
     return result
 
 
@@ -286,8 +285,6 @@ def run_robustness_study(
     Every sweep cell draws its seed from its own scope path.
     """
     scope = SeedScope.from_state(random_state)
-    if executor is None:
-        executor = ParallelExecutor(n_jobs, backend=backend)
     if task is None:
         task = DEFAULT_SIMULATED_TASKS[2]
     methods = {
@@ -296,35 +293,36 @@ def run_robustness_study(
         "t_test_like_average": AverageComparison(delta=0.0),
     }
     result = RobustnessStudyResult(sample_sizes=list(sample_sizes), p_a_gt_b=p_a_gt_b)
-    result.by_sample_size = robustness_to_sample_size(
-        methods,
-        task,
-        sample_sizes=sample_sizes,
-        p_a_gt_b=p_a_gt_b,
-        n_simulations=n_simulations,
-        scope=scope.child("sweep", "sample_size"),
-        executor=executor,
-    )
-    result.by_threshold["probability_of_outperforming"] = robustness_to_threshold(
-        lambda gamma: ProbabilityOfOutperforming(gamma=gamma, n_bootstraps=200),
-        task,
-        thresholds=thresholds,
-        p_a_gt_b=p_a_gt_b,
-        k=k,
-        n_simulations=n_simulations,
-        scope=scope.child("sweep", "threshold_prob"),
-        executor=executor,
-    )
-    result.by_threshold["average"] = robustness_to_threshold(
-        lambda gamma: AverageComparison(
-            delta=float(sps.norm.ppf(gamma)) * task.sigma
-        ),
-        task,
-        thresholds=thresholds,
-        p_a_gt_b=p_a_gt_b,
-        k=k,
-        n_simulations=n_simulations,
-        scope=scope.child("sweep", "threshold_avg"),
-        executor=executor,
-    )
+    with ensure_executor(executor, n_jobs, backend=backend) as executor:
+        result.by_sample_size = robustness_to_sample_size(
+            methods,
+            task,
+            sample_sizes=sample_sizes,
+            p_a_gt_b=p_a_gt_b,
+            n_simulations=n_simulations,
+            scope=scope.child("sweep", "sample_size"),
+            executor=executor,
+        )
+        result.by_threshold["probability_of_outperforming"] = robustness_to_threshold(
+            lambda gamma: ProbabilityOfOutperforming(gamma=gamma, n_bootstraps=200),
+            task,
+            thresholds=thresholds,
+            p_a_gt_b=p_a_gt_b,
+            k=k,
+            n_simulations=n_simulations,
+            scope=scope.child("sweep", "threshold_prob"),
+            executor=executor,
+        )
+        result.by_threshold["average"] = robustness_to_threshold(
+            lambda gamma: AverageComparison(
+                delta=float(sps.norm.ppf(gamma)) * task.sigma
+            ),
+            task,
+            thresholds=thresholds,
+            p_a_gt_b=p_a_gt_b,
+            k=k,
+            n_simulations=n_simulations,
+            scope=scope.child("sweep", "threshold_avg"),
+            executor=executor,
+        )
     return result

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.api.registry import register_study
 from repro.core.sample_size import minimum_sample_size
-from repro.engine import MeasurementCache, ParallelExecutor
+from repro.engine import MeasurementCache, ParallelExecutor, ensure_executor
 from repro.utils.tables import format_table
 
 __all__ = ["SampleSizeStudyResult", "run_sample_size_study"]
@@ -79,13 +79,14 @@ def run_sample_size_study(
     contract (per-γ shards bitwise-equal to the full run) holds trivially
     — this is the degenerate case of scope-addressed derivation.
     """
-    if executor is None:
-        executor = ParallelExecutor(n_jobs, backend=backend)
     gammas_arr = np.asarray(list(gammas), dtype=float)
-    sizes = np.array(
-        executor.map(partial(minimum_sample_size, alpha=alpha, beta=beta), gammas_arr),
-        dtype=int,
-    )
+    with ensure_executor(executor, n_jobs, backend=backend) as executor:
+        sizes = np.array(
+            executor.map(
+                partial(minimum_sample_size, alpha=alpha, beta=beta), gammas_arr
+            ),
+            dtype=int,
+        )
     return SampleSizeStudyResult(
         gammas=gammas_arr, sample_sizes=sizes, alpha=alpha, beta=beta
     )

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from repro.api.registry import register_study
-from repro.engine import MeasurementCache, ParallelExecutor
+from repro.engine import MeasurementCache, ParallelExecutor, ensure_executor
 from repro.simulation.sota import (
     PublishedResult,
     load_sota_timeline,
@@ -109,8 +109,6 @@ def run_sota_study(
         and no randomness, so the determinism contract holds trivially
         (every annotation is a pure function of its timeline and sigma).
     """
-    if executor is None:
-        executor = ParallelExecutor(n_jobs, backend=backend)
     if sigmas is None:
         sigmas = {"cifar10": 0.002, "sst2": 0.005}
     if timelines is None:
@@ -121,8 +119,9 @@ def run_sota_study(
         if benchmark not in sigmas:
             raise KeyError(f"no sigma provided for benchmark {benchmark!r}")
         jobs.append((benchmark, timeline, sigmas[benchmark]))
-    for benchmark, annotated in executor.map(
-        partial(_annotate_timeline, alpha=alpha), jobs
-    ):
-        result.timelines[benchmark] = annotated
+    with ensure_executor(executor, n_jobs, backend=backend) as executor:
+        for benchmark, annotated in executor.map(
+            partial(_annotate_timeline, alpha=alpha), jobs
+        ):
+            result.timelines[benchmark] = annotated
     return result

@@ -19,7 +19,8 @@ alive.  When a worker does lose its lease (a stall, or a long GC pause
 that let a thief in), the heartbeat thread notices the stolen claim and
 trips the study's cancellation event: the execution aborts at its next
 work item on every backend (process pools observe the event through the
-executor's relayed multiprocessing event), and nothing is committed.
+map's cancel slot, see :mod:`repro.engine.executor`), and nothing is
+committed.
 The thief re-runs the task to bitwise-identical results, so abandonment
 costs wall-clock, never correctness.
 
@@ -61,7 +62,8 @@ WorkerLog = Callable[[str, str, str], None]
 #: parking.  ``TimeoutError`` is an :class:`OSError` subclass on modern
 #: Pythons, but :mod:`concurrent.futures` kept a distinct class through
 #: 3.10; ``BrokenExecutor`` covers a pool whose processes were killed
-#: under the study.  Everything else is deterministic: re-running it
+#: under the study (the executor discards a broken pool, so the retry
+#: starts a fresh one).  Everything else is deterministic: re-running it
 #: would raise identically, so it parks with its traceback on the first
 #: failure.
 TRANSIENT_EXCEPTIONS = (

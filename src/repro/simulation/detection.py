@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.comparison import ComparisonMethod
-from repro.engine.executor import ParallelExecutor
+from repro.engine.executor import ParallelExecutor, ensure_executor
 from repro.simulation.performance_model import (
     SimulatedTask,
     mean_shift_for_probability,
@@ -127,8 +127,6 @@ def detection_rate(
     n_simulations = check_positive_int(n_simulations, "n_simulations")
     if estimator not in ("ideal", "biased"):
         raise ValueError("estimator must be 'ideal' or 'biased'")
-    if executor is None:
-        executor = ParallelExecutor(n_jobs)
     mean_shift = mean_shift_for_probability(p_a_gt_b, task.sigma)
     if scope is not None:
         seeds = [scope.child("sim", i).seed() for i in range(n_simulations)]
@@ -138,7 +136,8 @@ def detection_rate(
     args = [
         (method, task, k, mean_shift, estimator, int(seed)) for seed in seeds
     ]
-    detections = sum(executor.map(_run_one_simulation, args))
+    with ensure_executor(executor, n_jobs) as executor:
+        detections = sum(executor.map(_run_one_simulation, args))
     return detections / n_simulations
 
 
@@ -162,25 +161,24 @@ def detection_rate_curve(
     sweep order.
     """
     rng = None if scope is not None else check_random_state(random_state)
-    if executor is None:
-        executor = ParallelExecutor(n_jobs)
     probabilities = np.asarray(list(probabilities), dtype=float)
-    rates = np.array(
-        [
-            detection_rate(
-                method,
-                task,
-                p,
-                k=k,
-                estimator=estimator,
-                n_simulations=n_simulations,
-                random_state=rng,
-                executor=executor,
-                scope=None if scope is None else scope.child("p", repr(float(p))),
-            )
-            for p in probabilities
-        ]
-    )
+    with ensure_executor(executor, n_jobs) as executor:
+        rates = np.array(
+            [
+                detection_rate(
+                    method,
+                    task,
+                    p,
+                    k=k,
+                    estimator=estimator,
+                    n_simulations=n_simulations,
+                    random_state=rng,
+                    executor=executor,
+                    scope=None if scope is None else scope.child("p", repr(float(p))),
+                )
+                for p in probabilities
+            ]
+        )
     return DetectionRateResult(
         method=method.name,
         estimator=estimator,
@@ -209,30 +207,29 @@ def robustness_to_sample_size(
     sub-scope ``method=<name>/k=<size>``.
     """
     rng = None if scope is not None else check_random_state(random_state)
-    if executor is None:
-        executor = ParallelExecutor(n_jobs)
     results: Dict[str, np.ndarray] = {}
-    for name, method in methods.items():
-        rates = []
-        for k in sample_sizes:
-            rates.append(
-                detection_rate(
-                    method,
-                    task,
-                    p_a_gt_b,
-                    k=int(k),
-                    estimator=estimator,
-                    n_simulations=n_simulations,
-                    random_state=rng,
-                    executor=executor,
-                    scope=(
-                        None
-                        if scope is None
-                        else scope.child("method", name).child("k", int(k))
-                    ),
+    with ensure_executor(executor, n_jobs) as executor:
+        for name, method in methods.items():
+            rates = []
+            for k in sample_sizes:
+                rates.append(
+                    detection_rate(
+                        method,
+                        task,
+                        p_a_gt_b,
+                        k=int(k),
+                        estimator=estimator,
+                        n_simulations=n_simulations,
+                        random_state=rng,
+                        executor=executor,
+                        scope=(
+                            None
+                            if scope is None
+                            else scope.child("method", name).child("k", int(k))
+                        ),
+                    )
                 )
-            )
-        results[name] = np.array(rates)
+            results[name] = np.array(rates)
     return results
 
 
@@ -263,22 +260,21 @@ def robustness_to_threshold(
     ``gamma=<value>``.
     """
     rng = None if scope is not None else check_random_state(random_state)
-    if executor is None:
-        executor = ParallelExecutor(n_jobs)
     results: Dict[float, float] = {}
-    for gamma in thresholds:
-        method = method_factory(float(gamma))
-        results[float(gamma)] = detection_rate(
-            method,
-            task,
-            p_a_gt_b,
-            k=k,
-            estimator=estimator,
-            n_simulations=n_simulations,
-            random_state=rng,
-            executor=executor,
-            scope=(
-                None if scope is None else scope.child("gamma", repr(float(gamma)))
-            ),
-        )
+    with ensure_executor(executor, n_jobs) as executor:
+        for gamma in thresholds:
+            method = method_factory(float(gamma))
+            results[float(gamma)] = detection_rate(
+                method,
+                task,
+                p_a_gt_b,
+                k=k,
+                estimator=estimator,
+                n_simulations=n_simulations,
+                random_state=rng,
+                executor=executor,
+                scope=(
+                    None if scope is None else scope.child("gamma", repr(float(gamma)))
+                ),
+            )
     return results

@@ -473,9 +473,9 @@ class TestCancellation:
 
     def test_process_map_stops_between_items_inside_a_batch(self, tmp_path):
         # The threading event cannot cross process pickling, so a relay
-        # mirrors it into a multiprocessing event checked before every
-        # item *inside* pool workers: a cancellation mid-batch stops the
-        # remaining items of that batch, not just the next batch.
+        # mirrors it into the map's shared cancel slot, checked before
+        # every item *inside* pool workers: a cancellation mid-batch stops
+        # the remaining items of that batch, not just the next batch.
         event = threading.Event()
         watcher_error = []
 
