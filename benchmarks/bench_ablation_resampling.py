@@ -17,24 +17,26 @@ from conftest import run_once
 from repro.core.benchmark import BenchmarkProcess
 from repro.data.resampling import CrossValidationResampler
 from repro.data.tasks import get_task
-from repro.utils.rng import SeedBundle
+from repro.utils.rng import SeedScope
 from repro.utils.tables import format_table
 
 
-def _variance_with_bootstrap(process, n_splits, rng):
-    base = SeedBundle.random(rng)
+def _variance_with_bootstrap(process, n_splits, scope):
+    base = scope.bundle()
     scores = [
-        process.measure(base.randomized(["data"], rng)).test_score
-        for _ in range(n_splits)
+        process.measure(
+            base.with_seeds(data=scope.child("split", i).seed())
+        ).test_score
+        for i in range(n_splits)
     ]
     return np.asarray(scores)
 
 
-def _variance_with_cross_validation(process, n_folds, rng):
+def _variance_with_cross_validation(process, n_folds, scope):
     resampler = CrossValidationResampler(n_folds=n_folds)
-    seeds = SeedBundle.random(rng)
+    seeds = scope.bundle()
     scores = []
-    for train, valid, test in resampler.splits(process.dataset, rng):
+    for train, valid, test in resampler.splits(process.dataset, scope.rng()):
         outcome = process.pipeline.fit(
             train, process.pipeline.default_hparams(), seeds, valid=valid
         )
@@ -44,13 +46,15 @@ def _variance_with_cross_validation(process, n_folds, rng):
 
 def test_ablation_bootstrap_vs_cross_validation(benchmark, scale):
     def run():
-        rng = np.random.default_rng(0)
+        scope = SeedScope.from_state(0)
         task = get_task("entailment")
-        dataset = task.make_dataset(random_state=rng, n_samples=scale["dataset_size"])
+        dataset = task.make_dataset(
+            random_state=scope.child("dataset").rng(), n_samples=scale["dataset_size"]
+        )
         process = BenchmarkProcess(dataset, task.make_pipeline(), hpo_budget=3)
         n = max(10, scale["n_splits"])
-        bootstrap_scores = _variance_with_bootstrap(process, n, rng)
-        cv_scores = _variance_with_cross_validation(process, 5, rng)
+        bootstrap_scores = _variance_with_bootstrap(process, n, scope.child("bootstrap"))
+        cv_scores = _variance_with_cross_validation(process, 5, scope.child("cv"))
         return bootstrap_scores, cv_scores
 
     bootstrap_scores, cv_scores = run_once(benchmark, run)

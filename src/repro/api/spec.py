@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.utils.rng import check_seed
+
 __all__ = ["StudySpec", "SuiteSpec"]
 
 #: Backends understood by the measurement engine (mirrors
@@ -96,8 +98,9 @@ class StudySpec:
         uncached, and a string names a dedicated disk-backed cache file
         for this study (loaded eagerly, saved when the session closes).
     random_state:
-        Integer seed, or ``None`` for fresh entropy.  Kept as a plain int
-        (never a generator) so the spec stays serializable.
+        Integer seed in ``[0, 2**32 - 1)``, or ``None`` for fresh entropy.
+        Kept as a plain int (never a generator) so the spec stays
+        serializable.
     """
 
     study: str
@@ -130,13 +133,8 @@ class StudySpec:
         if not isinstance(self.cache, (bool, str)):
             raise TypeError("cache must be a bool or a cache-file path string")
         if self.random_state is not None:
-            if isinstance(self.random_state, bool) or not isinstance(
-                self.random_state, (int,)
-            ):
-                raise TypeError(
-                    "random_state must be an int or None (generators are not "
-                    "serializable; seed them outside the spec)"
-                )
+            # A plain int (never a generator) keeps the spec serializable.
+            object.__setattr__(self, "random_state", check_seed(self.random_state))
 
     def __hash__(self) -> int:
         # The generated dataclass __hash__ would choke on the params

@@ -24,8 +24,8 @@ from repro.core.estimators import FixHOptEstimator, IdealEstimator
 from repro.core.sources import VarianceSource
 from repro.engine.runner import StudyRunner, WorkItem, ensure_runner
 from repro.stats.correlated import MSEDecomposition, mse_decomposition
-from repro.utils.rng import SeedBundle, SeedScope
-from repro.utils.validation import check_positive_int, check_random_state
+from repro.utils.rng import SeedScope
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "VarianceDecomposition",
@@ -201,7 +201,6 @@ def variance_decomposition_study(
     random_state=None,
     runner: Optional[StudyRunner] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> VarianceDecomposition:
     """Measure the variance contributed by each source in isolation.
 
@@ -212,10 +211,11 @@ def variance_decomposition_study(
     reasonable defaults for this study) so :math:`\\xi_H` is excluded — HOpt
     variance is studied separately by :func:`hpo_variance_study`.
 
-    All seed bundles are pre-drawn before any fit runs, and the batch is
-    executed through a :class:`~repro.engine.runner.StudyRunner`, so the
-    scores are bitwise identical for any ``n_jobs`` at a fixed
-    ``random_state``.
+    Every seed is derived from its scope path (``source=<name>/rep=<i>``)
+    before any fit runs, and the batch is executed through a
+    :class:`~repro.engine.runner.StudyRunner`, so the scores are bitwise
+    identical for any ``n_jobs`` at a fixed ``random_state`` and do not
+    depend on what ran before the study.
 
     Parameters
     ----------
@@ -233,20 +233,14 @@ def variance_decomposition_study(
     include_numerical_noise:
         Also measure the all-seeds-fixed noise floor.
     random_state:
-        Seed or generator for the study (stream-drawn seeds; ignored when
-        ``scope`` is given).
+        int, Generator, :class:`~repro.utils.rng.SeedScope` or None; seeds
+        are derived from scope paths.
     runner:
         Measurement engine to execute (and possibly cache) the batch;
         built on demand from ``n_jobs`` when omitted.
     n_jobs:
         Worker count for the on-demand runner (ignored when ``runner`` is
         given).
-    scope:
-        Optional :class:`~repro.utils.rng.SeedScope`; when given, every
-        seed is derived from its scope path (``source=<name>/rep=<i>``)
-        instead of consuming the ``random_state`` stream, making the study
-        independent of what ran before it — the property sharded execution
-        relies on.
     """
     n_seeds = check_positive_int(n_seeds, "n_seeds", minimum=2)
     runner = ensure_runner(runner, process, n_jobs=n_jobs)
@@ -264,27 +258,19 @@ def variance_decomposition_study(
         # All seeds fixed: only the injected numerical-noise stream differs
         # between runs, mirroring the paper's fixed-seed runs.
         names.append("numerical")
-    if scope is not None:
-        base_seeds = scope.bundle()
-        items = [
-            WorkItem(
-                seeds=base_seeds.with_seeds(
-                    **{name: scope.child("source", name).child("rep", i).seed()}
-                ),
-                hparams=hparams,
-                scope_path=scope.child("source", name).child("rep", i).path_str(),
-            )
-            for name in names
-            for i in range(n_seeds)
-        ]
-    else:
-        rng = check_random_state(random_state)
-        base_seeds = SeedBundle.random(rng)
-        items = [
-            WorkItem(seeds=base_seeds.randomized([name], rng), hparams=hparams)
-            for name in names
-            for _ in range(n_seeds)
-        ]
+    scope = SeedScope.from_state(random_state)
+    base_seeds = scope.bundle()
+    items = [
+        WorkItem(
+            seeds=base_seeds.with_seeds(
+                **{name: scope.child("source", name).child("rep", i).seed()}
+            ),
+            hparams=hparams,
+            scope_path=scope.child("source", name).child("rep", i).path_str(),
+        )
+        for name in names
+        for i in range(n_seeds)
+    ]
     all_scores = runner.run_scores(items)
     for position, name in enumerate(names):
         scores = all_scores[position * n_seeds : (position + 1) * n_seeds]
@@ -301,7 +287,6 @@ def hpo_variance_study(
     random_state=None,
     runner: Optional[StudyRunner] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> Dict[str, np.ndarray]:
     """Variance induced by the hyperparameter-optimization procedure.
 
@@ -309,9 +294,9 @@ def hpo_variance_study(
     across ``n_repetitions`` independent HOpt runs per algorithm (Section
     2.2).  The returned scores are the test performances obtained with each
     run's selected hyperparameters.  The repetitions are independent:
-    their seed bundles are pre-drawn, and every algorithm's repetitions
-    run as one batch through the measurement engine (``n_jobs``
-    workers).
+    the HOpt seed of each is derived from the scope path
+    ``algorithm=<name>/rep=<i>``, and every algorithm's repetitions run as
+    one batch through the measurement engine (``n_jobs`` workers).
 
     Parameters
     ----------
@@ -324,44 +309,29 @@ def hpo_variance_study(
     n_repetitions:
         Number of independent HOpt runs per algorithm.
     random_state:
-        Seed or generator (stream-drawn seeds; ignored when ``scope`` is
-        given).
+        int, Generator, :class:`~repro.utils.rng.SeedScope` or None; seeds
+        are derived from scope paths.
     runner:
         Measurement engine used to execute the batch; built on demand
         from ``n_jobs`` when omitted.
     n_jobs:
         Worker count for the on-demand runner.
-    scope:
-        Optional :class:`~repro.utils.rng.SeedScope`; when given, the HOpt
-        seed of each repetition is derived from the scope path
-        ``algorithm=<name>/rep=<i>`` instead of the ``random_state``
-        stream, so the study's seeds are independent of iteration order.
     """
     n_repetitions = check_positive_int(n_repetitions, "n_repetitions", minimum=2)
     runner = ensure_runner(runner, process, n_jobs=n_jobs)
-    if scope is not None:
-        base_seeds = scope.bundle()
-        rng = None
-    else:
-        rng = check_random_state(random_state)
-        base_seeds = SeedBundle.random(rng)
+    scope = SeedScope.from_state(random_state)
+    base_seeds = scope.bundle()
     # Every item carries its algorithm, so all algorithms x repetitions go
     # out as one batch and the process is never mutated.
     items = []
     for name, algorithm in hpo_algorithms.items():
         for i in range(n_repetitions):
-            if scope is not None:
-                rep_scope = scope.child("algorithm", name).child("rep", i)
-                seeds = base_seeds.with_seeds(hopt=rep_scope.seed())
-                scope_path = rep_scope.path_str()
-            else:
-                seeds = base_seeds.randomized(["hopt"], rng)
-                scope_path = None
+            rep_scope = scope.child("algorithm", name).child("rep", i)
             items.append(
                 WorkItem(
-                    seeds=seeds,
+                    seeds=base_seeds.with_seeds(hopt=rep_scope.seed()),
                     with_hpo=True,
-                    scope_path=scope_path,
+                    scope_path=rep_scope.path_str(),
                     hpo_algorithm=algorithm,
                 )
             )
@@ -475,55 +445,39 @@ class EstimatorQualityStudy:
         random_state=None,
         runner: Optional[StudyRunner] = None,
         n_jobs: int = 1,
-        scope: Optional[SeedScope] = None,
     ) -> Dict[str, EstimatorQualityResult]:
         """Run the study and return one result per estimator variant.
 
         ``runner`` (or the ``n_jobs`` shortcut) is forwarded to every
         estimator so each realization's ``k_max`` measurements fan out
-        through the measurement engine.  With ``scope`` given, every
-        realization derives its seeds from the scope path
-        (``ideal|fixhopt=<subset>/rep=<r>``) instead of the shared
-        ``random_state`` stream.
+        through the measurement engine.  ``random_state`` is an int,
+        Generator, :class:`~repro.utils.rng.SeedScope` or None; seeds are
+        derived from scope paths (``ideal|fixhopt=<subset>/rep=<r>``).
         """
         runner = ensure_runner(runner, process, n_jobs=n_jobs)
-        if scope is not None:
-            rng = None
-            ideal_scopes = [
-                scope.child("ideal").child("rep", r)
-                for r in range(self.n_repetitions)
-            ]
-            ideal = IdealEstimator().estimate(
-                process, self.k_max, scope=ideal_scopes[0], runner=runner
-            )
-        else:
-            rng = check_random_state(random_state)
-            ideal_scopes = None
-            ideal = IdealEstimator().estimate(
-                process, self.k_max, random_state=rng, runner=runner
-            )
-        reference_mean = ideal.mean
-        results: Dict[str, EstimatorQualityResult] = {}
+        scope = SeedScope.from_state(random_state)
         # The ideal estimator's measurements are i.i.d.; independent "rows"
         # are obtained by collecting separate batches.
-        ideal_matrix = [ideal.scores]
-        for r in range(1, self.n_repetitions):
-            ideal_matrix.append(
-                IdealEstimator()
-                .estimate(
-                    process,
-                    self.k_max,
-                    random_state=rng,
-                    scope=None if ideal_scopes is None else ideal_scopes[r],
-                    runner=runner,
-                )
-                .scores
+        ideal_matrix = [
+            IdealEstimator()
+            .estimate(
+                process,
+                self.k_max,
+                random_state=scope.child("ideal").child("rep", r),
+                runner=runner,
             )
-        results["IdealEst"] = EstimatorQualityResult(
-            name="IdealEst",
-            score_matrix=np.vstack(ideal_matrix),
-            reference_mean=reference_mean,
-        )
+            .scores
+            for r in range(self.n_repetitions)
+        ]
+        # Row 0 doubles as the reference run.
+        reference_mean = float(np.mean(ideal_matrix[0]))
+        results: Dict[str, EstimatorQualityResult] = {
+            "IdealEst": EstimatorQualityResult(
+                name="IdealEst",
+                score_matrix=np.vstack(ideal_matrix),
+                reference_mean=reference_mean,
+            )
+        }
         for subset in self.subsets:
             rows = []
             for r in range(self.n_repetitions):
@@ -532,12 +486,7 @@ class EstimatorQualityStudy:
                     estimator.estimate(
                         process,
                         self.k_max,
-                        random_state=rng,
-                        scope=(
-                            None
-                            if scope is None
-                            else scope.child("fixhopt", subset).child("rep", r)
-                        ),
+                        random_state=scope.child("fixhopt", subset).child("rep", r),
                         runner=runner,
                     ).scores
                 )

@@ -9,12 +9,15 @@ couple the sources together.
 ``SeedBundle`` maps a source name (``"data"``, ``"init"``, ``"order"``,
 ``"dropout"``, ``"augment"``, ``"hopt"``, ``"numerical"``, ...) to an integer
 seed, and can produce a dedicated :class:`numpy.random.Generator` per source.
+``SeedScope`` is the only way seeds are made: every seed is a pure function
+of a root seed and a scope path, never of how many draws came before it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -23,17 +26,30 @@ import numpy as np
 from repro.utils.validation import check_random_state
 
 __all__ = [
+    "check_seed",
     "derive_seed",
     "rng_from_seed",
-    "spawn_generators",
     "SeedBundle",
     "SeedScope",
-    "SeedSequencePool",
 ]
 
 #: Largest seed value we hand out.  Kept below 2**32 so seeds remain valid
 #: inputs for ``numpy.random.SeedSequence`` and are easy to serialize.
 MAX_SEED = 2**32 - 1
+
+
+def check_seed(value) -> int:
+    """Validate an integer root seed and return it as a plain ``int``.
+
+    Raises ``TypeError`` for a bool or any non-integral value and
+    ``ValueError`` for an int outside ``[0, MAX_SEED)``, so two different
+    inputs can never silently map to the same root seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"random_state must be an int, got {type(value).__name__}")
+    if not 0 <= value < MAX_SEED:
+        raise ValueError(f"random_state must lie in [0, {MAX_SEED}), got {value}")
+    return int(value)
 
 
 def derive_seed(base_seed: int, *keys: object) -> int:
@@ -74,12 +90,6 @@ def rng_from_seed(seed: Optional[int]) -> np.random.Generator:
     source when it should be randomized (Appendix C.1).
     """
     return np.random.default_rng(seed)
-
-
-def spawn_generators(seed: int, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators from a single seed."""
-    seq = np.random.SeedSequence(int(seed) % MAX_SEED)
-    return [np.random.default_rng(child) for child in seq.spawn(int(n))]
 
 
 #: Canonical variance-source names used throughout the library.  They match
@@ -131,33 +141,9 @@ class SeedBundle:
         merged.update({k: int(v) for k, v in updates.items()})
         return replace(self, seeds=merged)
 
-    def randomized(
-        self,
-        sources: Iterable[str],
-        rng: np.random.Generator,
-    ) -> "SeedBundle":
-        """Return a copy where ``sources`` get fresh seeds drawn from ``rng``.
-
-        All other sources keep their current seeds — this is exactly the
-        "randomize a subset of :math:`\\xi`" operation used by the biased
-        estimator ``FixHOptEst(k, subset)``.
-        """
-        updates = {
-            source: int(rng.integers(0, MAX_SEED)) for source in sources
-        }
-        return self.with_seeds(**updates)
-
     def as_dict(self) -> Dict[str, int]:
         """Return the explicit seed for every known source."""
         return {source: self.seed_for(source) for source in KNOWN_SOURCES}
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "SeedBundle":
-        """Draw a bundle with every known source randomized."""
-        seeds = {
-            source: int(rng.integers(0, MAX_SEED)) for source in KNOWN_SOURCES
-        }
-        return cls(base_seed=int(rng.integers(0, MAX_SEED)), seeds=seeds)
 
 
 @dataclass(frozen=True)
@@ -193,9 +179,10 @@ class SeedScope:
         """Build a root scope from any ``random_state``-style value.
 
         An existing :class:`SeedScope` passes through unchanged (so drivers
-        can hand their scope to sub-studies); an int becomes the root seed;
-        a :class:`numpy.random.Generator` contributes one draw; ``None``
-        uses fresh OS entropy.
+        can hand their scope to sub-studies); an int in ``[0, MAX_SEED)``
+        becomes the root seed (see :func:`check_seed`); a
+        :class:`numpy.random.Generator` contributes one draw; ``None`` uses
+        fresh OS entropy.
         """
         if isinstance(random_state, SeedScope):
             return random_state
@@ -204,7 +191,7 @@ class SeedScope:
         if isinstance(random_state, (np.random.Generator, np.random.RandomState)):
             rng = check_random_state(random_state)
             return cls(int(rng.integers(0, MAX_SEED)))
-        return cls(int(random_state) % MAX_SEED)
+        return cls(check_seed(random_state))
 
     def child(self, kind: object, name: object = None) -> "SeedScope":
         """Return the sub-scope addressed by one more path segment."""
@@ -234,46 +221,3 @@ class SeedScope:
     def path_str(self) -> str:
         """Human-readable rendition of the path (``task=entailment/rep=3``)."""
         return "/".join("=".join(json.loads(segment)) for segment in self.path)
-
-
-class SeedSequencePool:
-    """Hand out reproducible, non-overlapping seeds on demand.
-
-    Useful when an experiment needs "as many fresh seeds as it asks for"
-    while remaining reproducible from a single root seed.
-    """
-
-    def __init__(self, root_seed: int = 0) -> None:
-        self._root = np.random.SeedSequence(int(root_seed) % MAX_SEED)
-        self._count = 0
-
-    def next_seed(self) -> int:
-        """Return the next seed in the pool.
-
-        Draw ``i`` (0-based) has always been the last child of a fresh
-        ``spawn(i + 1)`` — spawn key ``i·(i+3)/2``, since each call also
-        advanced the root's spawn counter by ``i + 1``.  Constructing that
-        child directly keeps every issued seed identical while replacing
-        the O(n) respawn per draw (O(n²) total) with O(1).
-        """
-        key = self._count * (self._count + 3) // 2
-        child = np.random.SeedSequence(
-            entropy=self._root.entropy,
-            spawn_key=(*self._root.spawn_key, key),
-            pool_size=self._root.pool_size,
-        )
-        self._count += 1
-        return int(child.generate_state(1, dtype=np.uint32)[0])
-
-    def next_bundle(self) -> SeedBundle:
-        """Return a fully-randomized :class:`SeedBundle`."""
-        return SeedBundle.random(rng_from_seed(self.next_seed()))
-
-    def next_rng(self) -> np.random.Generator:
-        """Return a generator seeded with the next pool seed."""
-        return rng_from_seed(self.next_seed())
-
-    @property
-    def issued(self) -> int:
-        """Number of seeds issued so far."""
-        return self._count

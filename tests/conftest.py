@@ -17,7 +17,7 @@ from repro.data.synthetic import (
 )
 from repro.pipelines.linear import LogisticRegressionPipeline
 from repro.pipelines.mlp import MLPClassifierPipeline, MLPRegressorPipeline
-from repro.utils.rng import SeedBundle
+from repro.utils.rng import SeedScope
 
 
 def pytest_configure(config):
@@ -35,9 +35,9 @@ def rng():
 
 
 @pytest.fixture
-def seed_bundle(rng):
-    """A fully randomized seed bundle."""
-    return SeedBundle.random(rng)
+def seed_bundle():
+    """A seed bundle with every source derived from one root seed."""
+    return SeedScope.from_state(1234).bundle()
 
 
 @pytest.fixture

@@ -88,6 +88,19 @@ class TestStudySpec:
         with pytest.raises(TypeError):
             StudySpec(study="variance", random_state=np.random.default_rng(0))
 
+    def test_out_of_range_random_state_rejected(self):
+        import numpy as np
+
+        # -1 must not alias the seeds of random_state=2**32 - 2.
+        with pytest.raises(ValueError):
+            StudySpec(study="variance", random_state=-1)
+        with pytest.raises(TypeError):
+            StudySpec(study="variance", random_state=True)
+        # A numpy int is stored as a plain int, so the spec stays JSON-able.
+        spec = StudySpec(study="variance", random_state=np.int64(3))
+        assert type(spec.random_state) is int
+        assert StudySpec.from_json(spec.to_json()) == spec
+
     def test_unknown_field_rejected_in_from_dict(self):
         with pytest.raises(ValueError, match="unknown StudySpec fields"):
             StudySpec.from_dict({"study": "variance", "jobs": 2})

@@ -5,19 +5,19 @@ import pytest
 
 from repro.core.benchmark import BenchmarkProcess
 from repro.hpo.grid import NoisyGridSearch
-from repro.utils.rng import SeedBundle
+from repro.utils.rng import SeedScope
 
 
 class TestSplit:
-    def test_split_driven_by_data_seed(self, classification_process, rng):
-        bundle = SeedBundle.random(rng)
+    def test_split_driven_by_data_seed(self, classification_process):
+        bundle = SeedScope.from_state(1).bundle()
         test_a = classification_process.split(bundle)[2]
         test_b = classification_process.split(bundle)[2]
         np.testing.assert_array_equal(test_a.X, test_b.X)
 
-    def test_different_data_seed_changes_split(self, classification_process, rng):
-        bundle = SeedBundle.random(rng)
-        other = bundle.randomized(["data"], rng)
+    def test_different_data_seed_changes_split(self, classification_process):
+        bundle = SeedScope.from_state(1).bundle()
+        other = bundle.with_seeds(data=bundle.seed_for("data") + 1)
         test_a = classification_process.split(bundle)[2]
         test_b = classification_process.split(other)[2]
         assert test_a.n_samples != test_b.n_samples or not np.array_equal(test_a.X, test_b.X)
@@ -47,12 +47,14 @@ class TestRunHpo:
         result = classification_process.run_hpo(seed_bundle, budget=4)
         assert result.n_trials == 4
 
-    def test_hopt_seed_controls_outcome(self, classification_process, rng):
-        bundle = SeedBundle.random(rng)
+    def test_hopt_seed_controls_outcome(self, classification_process):
+        bundle = SeedScope.from_state(1).bundle()
         a = classification_process.run_hpo(bundle)
         b = classification_process.run_hpo(bundle)
         assert a.best_config == b.best_config
-        c = classification_process.run_hpo(bundle.randomized(["hopt"], rng))
+        c = classification_process.run_hpo(
+            bundle.with_seeds(hopt=bundle.seed_for("hopt") + 1)
+        )
         assert c.best_config != a.best_config
 
     def test_alternative_algorithm(self, blobs_dataset, fast_classifier, seed_bundle):

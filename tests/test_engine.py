@@ -74,8 +74,8 @@ class TestMeasurementKey:
         key_b = measurement_key(classification_process, seed_bundle, None)
         assert key_a == key_b
 
-    def test_seeds_change_key(self, classification_process, seed_bundle, rng):
-        other = seed_bundle.randomized(["init"], rng)
+    def test_seeds_change_key(self, classification_process, seed_bundle):
+        other = seed_bundle.with_seeds(init=seed_bundle.seed_for("init") + 1)
         assert measurement_key(classification_process, seed_bundle, None) != (
             measurement_key(classification_process, other, None)
         )
@@ -115,10 +115,10 @@ class TestMeasurementCache:
         scores = {m.test_score for m in measurements}
         assert len(scores) == 1
 
-    def test_cached_replay_is_bitwise_identical(self, classification_process, rng):
+    def test_cached_replay_is_bitwise_identical(self, classification_process):
         cache = MeasurementCache()
         runner = StudyRunner(classification_process, cache=cache)
-        items = [WorkItem(seeds=SeedBundle.random(rng)) for _ in range(3)]
+        items = [WorkItem(seeds=SeedScope.from_state(i).bundle()) for i in range(3)]
         uncached = StudyRunner(classification_process).run_scores(items)
         warm = runner.run_scores(items)
         replayed = runner.run_scores(items)

@@ -109,7 +109,7 @@ class TestSeedProperties:
     @settings(max_examples=50, deadline=None)
     def test_randomizing_one_source_preserves_others(self, base, source, seed):
         bundle = SeedBundle(base_seed=base)
-        updated = bundle.randomized([source], np.random.default_rng(seed))
+        updated = bundle.with_seeds(**{source: seed})
         for other in ("data", "init", "order", "dropout", "augment", "hopt", "numerical"):
             if other != source:
                 assert updated.seed_for(other) == bundle.seed_for(other)
