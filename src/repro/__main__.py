@@ -75,8 +75,27 @@ scope-derived, see EXPERIMENTS.md), re-running against the same
 ``--cache-dir`` replays measurements without refitting — including
 measurements persisted by other workers sharing the directory.
 
-Exit codes: 0 success, 2 for an unreadable or malformed spec/manifest
-(the offending field is named on stderr).
+Options are declared once each, in the table below, with their type,
+default and range check; every subcommand picks the ones it takes:
+
+* the **engine** group — ``--n-jobs``, ``--backend``, ``--batch-size`` —
+  on ``run``, ``suite``, ``worker`` and ``serve``;
+* the **queue** group — ``--queue-backend``, ``--lease-seconds``,
+  ``--max-attempts``, ``--stall-seconds`` — on ``suite`` (only with
+  ``--distributed``), ``worker`` and ``serve``; ``queue`` takes
+  ``--queue-backend`` and ``--lease-seconds``;
+* the positional ``cache_dir`` (which must exist) on ``worker``,
+  ``queue``, ``gc``, ``serve``, ``trace`` and ``report``; ``--suite`` on
+  ``worker``, ``queue``, ``trace`` and ``report``; ``--json`` on every
+  subcommand except ``worker`` and ``serve``.
+
+Durations (``--lease-seconds``, ``--stall-seconds``, ``--poll-seconds``,
+``--timeout``) must be positive; counts (``--batch-size``,
+``--max-attempts``, ``--max-tasks``, ``--max-bytes``, ``--max-entries``,
+``--max-concurrent-studies``) at least 1; ``--n-jobs`` takes any integer.
+
+Exit codes: 0 success, 2 for an unreadable or malformed spec/manifest or
+an out-of-range option (the offending field or flag is named on stderr).
 """
 
 from __future__ import annotations
@@ -86,516 +105,297 @@ import json
 import logging
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.api import Session, StudySpec, SuiteSpec, get_study, iter_studies
 from repro.api.spec import VALID_BACKENDS
 from repro.engine.cache import FileStore
 from repro.sched.backend import QUEUE_BACKENDS
+from repro.sched.queue import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS
 from repro.telemetry.log import get_logger, setup_logging
 
 
 class CLIError(Exception):
-    """A user-input problem (bad file, malformed manifest): message, no
-    traceback, exit code 2."""
+    """A user-input problem (bad file, malformed manifest, out-of-range
+    option): message, no traceback, exit code 2."""
 
 
-def _add_log_level(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--log-level",
-        default=None,
-        metavar="LEVEL",
-        help=(
-            "logging threshold for repro.* loggers (DEBUG, INFO, WARNING, "
-            "ERROR, CRITICAL; default: $REPRO_LOG_LEVEL or INFO)"
-        ),
-    )
+# A range check: a predicate over a given (non-None) value and the error
+# message when it fails.  main() applies each declared check once.
+_Check = Tuple[Callable[[Any], bool], str]
+_POSITIVE: _Check = (lambda value: value > 0, "{flag} must be positive")
+_AT_LEAST_1: _Check = (lambda value: value >= 1, "{flag} must be at least 1")
+_PORT_RANGE: _Check = (
+    lambda value: 0 <= value <= 65535,
+    "{flag} must be between 0 and 65535",
+)
+_EXISTING_DIR: _Check = (os.path.isdir, "no cache directory at {value!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run registered studies from declarative JSON specs.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+class _Option:
+    """One CLI option, declared once: its flag (or positional name), its
+    ``add_argument`` keywords and its optional range check."""
 
-    run = commands.add_parser(
-        "run", help="execute a StudySpec JSON file and print its result"
-    )
-    run.add_argument("spec", help="path to the spec JSON ('-' reads stdin)")
-    run.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="override the spec's worker count (-1 = all cores)",
-    )
-    run.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default=None,
-        help="override the spec's executor backend",
-    )
-    run.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to this many same-hyperparameter measurements into "
-            "one vectorized multi-seed fit (results are bitwise-identical "
-            "at any value; defaults the backend to 'process')"
-        ),
-    )
-    run.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "per-key measurement store shared by concurrent workers; "
-            "re-runs replay from it without refitting"
-        ),
-    )
-    run.add_argument(
-        "--json",
-        action="store_true",
-        help="print the rows + provenance JSON instead of the summary table",
-    )
-    _add_log_level(run)
+    def __init__(
+        self, flag: str, check: Optional[_Check] = None, **kwargs: Any
+    ) -> None:
+        self.flag = flag
+        self.dest = flag.lstrip("-").replace("-", "_")
+        self.check = check
+        self.kwargs = kwargs
 
-    suite = commands.add_parser(
-        "suite",
-        help=(
-            "execute every member of a SuiteSpec manifest through one "
-            "shared session and cache"
-        ),
-    )
-    suite.add_argument(
-        "manifest", help="path to the suite manifest JSON ('-' reads stdin)"
-    )
-    suite.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="override the manifest's worker count (-1 = all cores)",
-    )
-    suite.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default=None,
-        help="override the manifest's executor backend",
-    )
-    suite.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to this many same-hyperparameter measurements into "
-            "one vectorized multi-seed fit per dispatched task"
-        ),
-    )
-    suite.add_argument(
-        "--cache-dir",
-        default=None,
-        help="override the manifest's shared per-key measurement store",
-    )
-    suite.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "replay members whose completion record (written under the "
-            "cache_dir on every finished run) matches their current spec, "
-            "re-running only the rest"
-        ),
-    )
-    suite.add_argument(
-        "--distributed",
-        action="store_true",
-        help=(
-            "execute through the durable work queue under "
-            "<cache_dir>/queue/<suite>/ so `repro worker` processes "
-            "sharing the cache dir claim tasks cooperatively; this "
-            "coordinator participates too, so zero workers still complete"
-        ),
-    )
-    suite.add_argument(
-        "--shard-members",
-        action="store_true",
-        help=(
-            "with --distributed: pre-shard members by scope path "
-            "(e.g. one task per task_names value) for finer-grained "
-            "work stealing"
-        ),
-    )
-    suite.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=None,
-        help=(
-            "with --distributed: heartbeat lease after which a claimed "
-            "task is presumed crashed and may be stolen (default 30; use "
-            "minutes across hosts with clock skew)"
-        ),
-    )
-    suite.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help=(
-            "with --distributed: where durable task state lives — 'fs' "
-            "(rename-claim files under <cache_dir>/queue/<suite>/, the "
-            "default) or 'sqlite' (transactional claims in "
-            "<cache_dir>/queue.db; immune to clock skew and NFS rename "
-            "races)"
-        ),
-    )
-    suite.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help=(
-            "with --distributed: executions a task gets before a "
-            "transient failure (OSError, timeout) parks it as failed "
-            "(default 3; deterministic errors always park on the first)"
-        ),
-    )
-    suite.add_argument(
-        "--stall-seconds",
-        type=float,
-        default=None,
-        help=(
-            "with --distributed: stop renewing a task's lease when the "
-            "study makes no progress for this long, so a hung task is "
-            "stolen by a healthy worker (default: renew unconditionally)"
-        ),
-    )
-    suite.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full output manifest JSON instead of the summaries",
-    )
-    _add_log_level(suite)
+    def but(self, **kwargs: Any) -> "_Option":
+        """This option with a subcommand's own default or help text."""
+        return _Option(self.flag, self.check, **{**self.kwargs, **kwargs})
 
-    worker = commands.add_parser(
-        "worker",
-        help=(
-            "serve the distributed work queues under a shared cache "
-            "directory: claim tasks, execute them through the shared "
-            "store, heartbeat leases, steal from crashed workers"
-        ),
-    )
-    worker.add_argument(
-        "cache_dir",
-        help="the shared per-key store (queues live under <cache_dir>/queue/)",
-    )
-    worker.add_argument(
-        "--suite",
-        default=None,
-        help="serve only this suite's queue (default: every queue found)",
-    )
-    worker.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help="heartbeat lease for claimed tasks (default 30)",
-    )
-    worker.add_argument(
-        "--poll-seconds",
-        type=float,
-        default=0.5,
-        help="idle sleep between queue scans (default 0.5)",
-    )
-    worker.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        help="exit after executing this many tasks",
-    )
-    worker.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="exit after this many seconds regardless of queue state",
-    )
-    worker.add_argument(
-        "--exit-when-done",
-        action="store_true",
-        help=(
-            "exit once at least one queue exists and every queue served "
-            "is complete (default: poll forever for new suites)"
-        ),
-    )
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        help="identity stamped into lease files (default host:pid)",
-    )
-    worker.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="override each suite's per-task worker count",
-    )
-    worker.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default=None,
-        help="override each suite's executor backend",
-    )
-    worker.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to this many same-hyperparameter measurements into "
-            "one vectorized multi-seed fit per dispatched task"
-        ),
-    )
-    worker.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help=(
-            "serve only queues on this backend (default: both — fs "
-            "directories and the sqlite queue.db)"
-        ),
-    )
-    worker.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help=(
-            "executions a task gets before a transient failure parks it "
-            "(default 3)"
-        ),
-    )
-    worker.add_argument(
-        "--stall-seconds",
-        type=float,
-        default=None,
-        help=(
-            "stop renewing a task's lease when its study makes no "
-            "progress for this long (default: renew unconditionally)"
-        ),
-    )
-    _add_log_level(worker)
+    def problem(self, args: argparse.Namespace) -> Optional[str]:
+        """The range-check message for this option's parsed value, if any."""
+        value = getattr(args, self.dest)
+        if self.check is None or value is None:
+            return None
+        accepts, message = self.check
+        if accepts(value):
+            return None
+        return message.format(flag=self.flag, value=value)
 
-    queue = commands.add_parser(
-        "queue",
-        help=(
-            "show the live state of every distributed work queue under a "
-            "cache directory: task counts, lease ages, attempt counts, "
-            "worker ids"
-        ),
-    )
-    queue.add_argument(
-        "cache_dir",
-        help="the shared per-key store the queues live in",
-    )
-    queue.add_argument(
-        "--suite",
-        default=None,
-        help="show only this suite's queue(s)",
-    )
-    queue.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help="show only queues on this backend (default: both)",
-    )
-    queue.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help=(
-            "lease horizon used to flag expired leases in the report "
-            "(default 30; match what the coordinator was started with)"
-        ),
-    )
-    queue.add_argument(
-        "--json",
-        action="store_true",
-        help="print the status reports as JSON",
-    )
 
-    gc = commands.add_parser(
-        "gc",
-        help=(
-            "prune a per-key cache directory back within byte/entry "
-            "budgets (LRU-by-last-use) and sweep crash leftovers"
-        ),
-    )
-    gc.add_argument("cache_dir", help="per-key store directory to prune")
-    gc.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="byte budget for the object tree",
-    )
-    gc.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        help="entry-count budget for the object tree",
-    )
-    gc.add_argument(
-        "--json", action="store_true", help="print the gc stats as JSON"
-    )
+_SPEC = _Option("spec", help="path to the spec JSON ('-' reads stdin)")
+_MANIFEST = _Option(
+    "manifest", help="path to the suite manifest JSON ('-' reads stdin)"
+)
+_STORE = _Option(
+    "cache_dir",
+    _EXISTING_DIR,
+    help=(
+        "the shared per-key store directory (measurements, suite records, "
+        "work queues and telemetry all live under it)"
+    ),
+)
+_CACHE_DIR = _Option(
+    "--cache-dir",
+    default=None,
+    help=(
+        "per-key measurement store shared by concurrent workers (overrides "
+        "the manifest's); re-runs replay from it without refitting"
+    ),
+)
 
-    serve = commands.add_parser(
-        "serve",
-        help=(
-            "run the HTTP/JSON study service: POST specs, stream progress "
-            "over server-sent events, browse the dashboard at /"
-        ),
-    )
-    serve.add_argument(
-        "cache_dir",
-        help=(
-            "shared per-key store the service runs against (results, "
-            "suite records and work queues all live here)"
-        ),
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; 0.0.0.0 exposes the LAN)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8321,
-        help="port to bind (default 8321; 0 picks a free port)",
-    )
-    serve.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="per-study worker count for in-process execution",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default=None,
-        help="executor backend for in-process execution",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to this many same-hyperparameter measurements into "
-            "one vectorized multi-seed fit per dispatched task"
-        ),
-    )
-    serve.add_argument(
-        "--max-concurrent-studies",
-        type=int,
-        default=None,
-        help=(
-            "bound on studies the in-process submit pool runs at once "
-            "(suites are not affected: they go through the work queue)"
-        ),
-    )
-    serve.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help="queue backend for submitted suites (default fs)",
-    )
-    serve.add_argument(
-        "--shard-members",
-        action="store_true",
-        help="pre-shard suite members by scope path for finer work stealing",
-    )
-    serve.add_argument(
-        "--no-participate",
-        action="store_true",
-        help=(
-            "do not execute suite tasks in the service process; external "
-            "`repro worker` processes must drain the queue"
-        ),
-    )
-    serve.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help="heartbeat lease for suite tasks (default 30)",
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="executions a suite task gets before a transient failure parks it",
-    )
-    serve.add_argument(
-        "--stall-seconds",
-        type=float,
-        default=None,
-        help="stop renewing a hung suite task's lease after this long",
-    )
-    serve.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress per-request access logging",
-    )
-    _add_log_level(serve)
+# Engine group: how fast results arrive, never what they are.
+_N_JOBS = _Option(
+    "--n-jobs",
+    type=int,
+    default=None,
+    help="override the worker count (-1 = all cores)",
+)
+_BACKEND = _Option(
+    "--backend",
+    choices=VALID_BACKENDS,
+    default=None,
+    help="override the executor backend",
+)
+_BATCH_SIZE = _Option(
+    "--batch-size",
+    _AT_LEAST_1,
+    type=int,
+    default=None,
+    help=(
+        "group up to this many same-hyperparameter measurements into one "
+        "vectorized multi-seed fit per dispatched task (results are "
+        "bitwise-identical at any value; defaults the backend to 'process')"
+    ),
+)
+_ENGINE = (_N_JOBS, _BACKEND, _BATCH_SIZE)
 
-    trace = commands.add_parser(
-        "trace",
-        help=(
-            "render the telemetry span tree recorded under a cache "
-            "directory (coordinator, workers and in-process runs all "
-            "append to <cache_dir>/telemetry/)"
-        ),
-    )
-    trace.add_argument(
-        "cache_dir",
-        help="per-key store directory whose telemetry/ spans to read",
-    )
-    trace.add_argument(
-        "--suite",
-        default=None,
-        help="show only spans from this suite's trace",
-    )
-    trace.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw spans and per-phase aggregates as JSON",
-    )
+# Queue group: the durable work queue's knobs (suite: with --distributed).
+_QUEUE_BACKEND = _Option(
+    "--queue-backend",
+    choices=QUEUE_BACKENDS,
+    default=None,
+    help=(
+        "where durable task state lives: 'fs' (rename-claim files under "
+        "<cache_dir>/queue/<suite>/) or 'sqlite' (transactional claims in "
+        "<cache_dir>/queue.db; immune to clock skew and NFS rename races); "
+        "suite and serve enqueue on fs by default, worker and queue serve "
+        "and show both"
+    ),
+)
+_LEASE_SECONDS = _Option(
+    "--lease-seconds",
+    _POSITIVE,
+    type=float,
+    default=DEFAULT_LEASE_SECONDS,
+    help=(
+        "heartbeat lease after which a claimed task is presumed crashed "
+        f"and may be stolen (default {DEFAULT_LEASE_SECONDS:g}; use minutes "
+        "across hosts with clock skew; queue flags leases older than this)"
+    ),
+)
+_MAX_ATTEMPTS = _Option(
+    "--max-attempts",
+    _AT_LEAST_1,
+    type=int,
+    default=None,
+    help=(
+        "executions a task gets before a transient failure (OSError, "
+        f"timeout) parks it as failed (default {DEFAULT_MAX_ATTEMPTS}; "
+        "deterministic errors always park on the first)"
+    ),
+)
+_STALL_SECONDS = _Option(
+    "--stall-seconds",
+    _POSITIVE,
+    type=float,
+    default=None,
+    help=(
+        "stop renewing a task's lease when its study makes no progress for "
+        "this long, so a hung task is stolen by a healthy worker (default: "
+        "renew unconditionally)"
+    ),
+)
+_QUEUE = (_QUEUE_BACKEND, _LEASE_SECONDS, _MAX_ATTEMPTS, _STALL_SECONDS)
 
-    report = commands.add_parser(
-        "report",
-        help=(
-            "emit markdown + JSON variance-budget reports from cached "
-            "suite completion records (zero re-execution)"
-        ),
-    )
-    report.add_argument(
-        "cache_dir",
-        help="per-key store directory holding suite completion records",
-    )
-    report.add_argument(
-        "--suite",
-        default=None,
-        help=(
-            "suite name to report on (default: every suite with "
-            "completion records under the cache dir)"
-        ),
-    )
-    report.add_argument(
-        "--json",
-        action="store_true",
-        help="print the suite report payload(s) as JSON instead of a summary",
-    )
+_SUITE = _Option(
+    "--suite",
+    default=None,
+    help="only this suite (default: every suite under the cache dir)",
+)
+_JSON = _Option(
+    "--json",
+    action="store_true",
+    help="print the machine-readable JSON payload instead of the summary",
+)
+_LOG_LEVEL = _Option(
+    "--log-level",
+    default=None,
+    metavar="LEVEL",
+    help=(
+        "logging threshold for repro.* loggers (DEBUG, INFO, WARNING, "
+        "ERROR, CRITICAL; default: $REPRO_LOG_LEVEL or INFO)"
+    ),
+)
+_SHARD_MEMBERS = _Option(
+    "--shard-members",
+    action="store_true",
+    help=(
+        "pre-shard suite members by scope path (e.g. one task per "
+        "task_names value) for finer-grained work stealing"
+    ),
+)
+_RESUME = _Option(
+    "--resume",
+    action="store_true",
+    help=(
+        "replay members whose completion record (written under the "
+        "cache_dir on every finished run) matches their current spec, "
+        "re-running only the rest"
+    ),
+)
+_DISTRIBUTED = _Option(
+    "--distributed",
+    action="store_true",
+    help=(
+        "execute through the durable work queue in the cache dir so "
+        "`repro worker` processes sharing it claim tasks cooperatively; "
+        "this coordinator participates too, so zero workers still complete "
+        "(--shard-members and the queue options require it)"
+    ),
+)
+_POLL_SECONDS = _Option(
+    "--poll-seconds",
+    _POSITIVE,
+    type=float,
+    default=0.5,
+    help="idle sleep between queue scans (default 0.5)",
+)
+_MAX_TASKS = _Option(
+    "--max-tasks",
+    _AT_LEAST_1,
+    type=int,
+    default=None,
+    help="exit after executing this many tasks",
+)
+_TIMEOUT = _Option(
+    "--timeout",
+    _POSITIVE,
+    type=float,
+    default=None,
+    help="exit after this many seconds regardless of queue state",
+)
+_EXIT_WHEN_DONE = _Option(
+    "--exit-when-done",
+    action="store_true",
+    help=(
+        "exit once at least one queue exists and every queue served is "
+        "complete (default: poll forever for new suites)"
+    ),
+)
+_WORKER_ID = _Option(
+    "--worker-id",
+    default=None,
+    help="identity stamped into lease files (default host:pid)",
+)
+_MAX_BYTES = _Option(
+    "--max-bytes",
+    _AT_LEAST_1,
+    type=int,
+    default=None,
+    help="byte budget for the object tree",
+)
+_MAX_ENTRIES = _Option(
+    "--max-entries",
+    _AT_LEAST_1,
+    type=int,
+    default=None,
+    help="entry-count budget for the object tree",
+)
+_HOST = _Option(
+    "--host",
+    default="127.0.0.1",
+    help="interface to bind (default 127.0.0.1; 0.0.0.0 exposes the LAN)",
+)
+_PORT = _Option(
+    "--port",
+    _PORT_RANGE,
+    type=int,
+    default=8321,
+    help="port to bind (default 8321; 0 picks a free port)",
+)
+_MAX_CONCURRENT_STUDIES = _Option(
+    "--max-concurrent-studies",
+    _AT_LEAST_1,
+    type=int,
+    default=None,
+    help=(
+        "bound on studies the in-process submit pool runs at once "
+        "(suites are not affected: they go through the work queue)"
+    ),
+)
+_NO_PARTICIPATE = _Option(
+    "--no-participate",
+    action="store_true",
+    help=(
+        "do not execute suite tasks in the service process; external "
+        "`repro worker` processes must drain the queue"
+    ),
+)
+_QUIET = _Option(
+    "--quiet", action="store_true", help="suppress per-request access logging"
+)
 
-    list_parser = commands.add_parser("list", help="list registered studies")
-    list_parser.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "print the machine-readable registry catalogue (name, "
-            "artefact, description, size/smoke parameters, shard axis)"
-        ),
-    )
-    return parser
+
+def _engine_overrides(args: argparse.Namespace) -> Dict[str, Any]:
+    """The engine options set on the command line, by keyword (unset ones
+    leave the spec's, manifest's or session's own configuration)."""
+    return {
+        option.dest: getattr(args, option.dest)
+        for option in _ENGINE
+        if getattr(args, option.dest) is not None
+    }
+
+
+def _queue_config(args: argparse.Namespace) -> Dict[str, Any]:
+    """The queue options' parsed values, by keyword."""
+    return {option.dest: getattr(args, option.dest) for option in _QUEUE}
 
 
 def _read_payload(source: str, what: str) -> str:
@@ -638,13 +438,10 @@ def _read_suite(source: str) -> SuiteSpec:
 
 def _run(args: argparse.Namespace) -> int:
     spec = _read_spec(args.spec)
-    if args.n_jobs is not None:
-        spec = spec.replace(n_jobs=args.n_jobs)
-    if args.backend is not None:
-        spec = spec.replace(backend=args.backend)
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
-    batch_size = 1 if args.batch_size is None else args.batch_size
+    overrides = _engine_overrides(args)
+    batch_size = overrides.pop("batch_size", 1)
+    if overrides:
+        spec = spec.replace(**overrides)
     with Session(cache_dir=args.cache_dir, batch_size=batch_size) as session:
         result = session.run(spec)
         print(result.to_json(indent=2) if args.json else result.summary())
@@ -653,17 +450,14 @@ def _run(args: argparse.Namespace) -> int:
 
 def _suite(args: argparse.Namespace) -> int:
     suite = _read_suite(args.manifest)
-    overrides = {}
-    if args.n_jobs is not None:
-        overrides["n_jobs"] = args.n_jobs
-    if args.backend is not None:
-        overrides["backend"] = args.backend
+    overrides = _engine_overrides(args)
+    session_overrides = {}
+    if "batch_size" in overrides:
+        session_overrides["batch_size"] = overrides.pop("batch_size")
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
     if overrides:
         suite = suite.replace(**overrides)
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
     if args.resume and suite.cache_dir is None:
         raise CLIError(
             "--resume requires a cache_dir (in the manifest or --cache-dir)"
@@ -697,37 +491,19 @@ def _suite(args: argparse.Namespace) -> int:
             "--distributed shares work through the per-key store and "
             "requires a cache_dir (in the manifest or --cache-dir)"
         )
-    if not args.distributed:
-        # Scheduler knobs silently doing nothing would mislead: fail fast.
-        if args.shard_members:
-            raise CLIError("--shard-members requires --distributed")
-        if args.lease_seconds is not None:
-            raise CLIError("--lease-seconds requires --distributed")
-        if args.queue_backend is not None:
-            raise CLIError("--queue-backend requires --distributed")
-        if args.max_attempts is not None:
-            raise CLIError("--max-attempts requires --distributed")
-        if args.stall_seconds is not None:
-            raise CLIError("--stall-seconds requires --distributed")
-    if args.lease_seconds is not None and args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
-    if args.max_attempts is not None and args.max_attempts < 1:
-        raise CLIError("--max-attempts must be at least 1")
-    if args.stall_seconds is not None and args.stall_seconds <= 0:
-        raise CLIError("--stall-seconds must be positive")
     scheduler_config = {}
     if args.distributed:
         scheduler_config = {
             "distributed": True,
             "shard_members": args.shard_members,
-            "lease_seconds": args.lease_seconds,
-            "queue_backend": args.queue_backend,
-            "max_attempts": args.max_attempts,
-            "stall_seconds": args.stall_seconds,
+            **_queue_config(args),
         }
-    session_overrides = {}
-    if args.batch_size is not None:
-        session_overrides["batch_size"] = args.batch_size
+    else:
+        # Scheduler knobs silently doing nothing would mislead: fail fast.
+        # (Zero values never get here: the range checks reject them.)
+        for option in (_SHARD_MEMBERS, *_QUEUE):
+            if getattr(args, option.dest) not in (None, False):
+                raise CLIError(f"{option.flag} requires --distributed")
     with Session.for_suite(suite, **session_overrides) as session:
         result = session.run_suite(
             suite,
@@ -741,17 +517,6 @@ def _suite(args: argparse.Namespace) -> int:
 
 def _worker(args: argparse.Namespace) -> int:
     from repro.sched import Worker  # local: keep CLI start-up light
-
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
-    if args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
-    if args.max_attempts is not None and args.max_attempts < 1:
-        raise CLIError("--max-attempts must be at least 1")
-    if args.stall_seconds is not None and args.stall_seconds <= 0:
-        raise CLIError("--stall-seconds must be positive")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
 
     logger = get_logger("worker")
 
@@ -768,15 +533,10 @@ def _worker(args: argparse.Namespace) -> int:
         args.cache_dir,
         suite=args.suite,
         worker_id=args.worker_id,
-        lease_seconds=args.lease_seconds,
         poll_seconds=args.poll_seconds,
-        queue_backend=args.queue_backend,
-        max_attempts=args.max_attempts,
-        stall_seconds=args.stall_seconds,
-        n_jobs=args.n_jobs,
-        backend=args.backend,
-        batch_size=args.batch_size,
         log=log,
+        **_queue_config(args),
+        **_engine_overrides(args),
     )
     stats = worker.run(
         exit_when_done=args.exit_when_done,
@@ -796,10 +556,6 @@ def _worker(args: argparse.Namespace) -> int:
 def _queue_status(args: argparse.Namespace) -> int:
     from repro.sched import TaskQueue  # local: keep CLI start-up light
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
-    if args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
     queues = TaskQueue.discover(
         args.cache_dir,
         backend=args.queue_backend,
@@ -852,8 +608,6 @@ def _queue_status(args: argparse.Namespace) -> int:
 
 
 def _gc(args: argparse.Namespace) -> int:
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
     stats = FileStore(args.cache_dir).gc(
         max_bytes=args.max_bytes, max_entries=args.max_entries
     )
@@ -872,25 +626,7 @@ def _gc(args: argparse.Namespace) -> int:
 def _serve(args: argparse.Namespace) -> int:
     from repro.serve import serve  # local: keep CLI start-up light
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
-    if not 0 <= args.port <= 65535:
-        raise CLIError("--port must be between 0 and 65535")
-    if args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
-    if args.max_attempts is not None and args.max_attempts < 1:
-        raise CLIError("--max-attempts must be at least 1")
-    if args.stall_seconds is not None and args.stall_seconds <= 0:
-        raise CLIError("--stall-seconds must be positive")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
-    session_config = {}
-    if args.n_jobs is not None:
-        session_config["n_jobs"] = args.n_jobs
-    if args.backend is not None:
-        session_config["backend"] = args.backend
-    if args.batch_size is not None:
-        session_config["batch_size"] = args.batch_size
+    session_config = _engine_overrides(args)
     if args.max_concurrent_studies is not None:
         session_config["max_concurrent_studies"] = args.max_concurrent_studies
     try:
@@ -900,12 +636,9 @@ def _serve(args: argparse.Namespace) -> int:
             port=args.port,
             session_config=session_config,
             verbose=not args.quiet,
-            queue_backend=args.queue_backend,
             shard_members=args.shard_members,
             participate=not args.no_participate,
-            lease_seconds=args.lease_seconds,
-            max_attempts=args.max_attempts,
-            stall_seconds=args.stall_seconds,
+            **_queue_config(args),
         )
     except OSError as error:
         raise CLIError(
@@ -923,8 +656,6 @@ def _trace(args: argparse.Namespace) -> int:
         render_span_tree,
     )
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
     spans = load_spans(args.cache_dir)
     if args.suite is not None:
         spans = filter_suite(spans, args.suite)
@@ -963,8 +694,6 @@ def _trace(args: argparse.Namespace) -> int:
 def _report(args: argparse.Namespace) -> int:
     from repro.report import ReportError, list_report_suites, write_suite_reports
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
     try:
         if args.suite is not None:
             suite_names = [args.suite]
@@ -1008,30 +737,128 @@ def _list(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    options: Tuple[_Option, ...]
+
+
+_COMMANDS: Dict[str, _Command] = {
+    "run": _Command(
+        _run,
+        "execute a StudySpec JSON file and print its result",
+        (_SPEC, *_ENGINE, _CACHE_DIR, _JSON, _LOG_LEVEL),
+    ),
+    "suite": _Command(
+        _suite,
+        "execute every member of a SuiteSpec manifest through one shared "
+        "session and cache",
+        (
+            _MANIFEST,
+            *_ENGINE,
+            _CACHE_DIR,
+            _RESUME,
+            _DISTRIBUTED,
+            _SHARD_MEMBERS,
+            _QUEUE_BACKEND,
+            # No default lease: an explicit one without --distributed errors.
+            _LEASE_SECONDS.but(default=None),
+            _MAX_ATTEMPTS,
+            _STALL_SECONDS,
+            _JSON,
+            _LOG_LEVEL,
+        ),
+    ),
+    "worker": _Command(
+        _worker,
+        "serve the distributed work queues under a shared cache directory: "
+        "claim tasks, execute them through the shared store, heartbeat "
+        "leases, steal from crashed workers",
+        (
+            _STORE,
+            _SUITE,
+            *_QUEUE,
+            _POLL_SECONDS,
+            _MAX_TASKS,
+            _TIMEOUT,
+            _EXIT_WHEN_DONE,
+            _WORKER_ID,
+            *_ENGINE,
+            _LOG_LEVEL,
+        ),
+    ),
+    "queue": _Command(
+        _queue_status,
+        "show the live state of every distributed work queue under a cache "
+        "directory: task counts, lease ages, attempt counts, worker ids",
+        (_STORE, _SUITE, _QUEUE_BACKEND, _LEASE_SECONDS, _JSON),
+    ),
+    "gc": _Command(
+        _gc,
+        "prune a per-key cache directory back within byte/entry budgets "
+        "(LRU-by-last-use) and sweep crash leftovers",
+        (_STORE, _MAX_BYTES, _MAX_ENTRIES, _JSON),
+    ),
+    "serve": _Command(
+        _serve,
+        "run the HTTP/JSON study service: POST specs, stream progress over "
+        "server-sent events, browse the dashboard at /",
+        (
+            _STORE,
+            _HOST,
+            _PORT,
+            *_ENGINE,
+            _MAX_CONCURRENT_STUDIES,
+            *_QUEUE,
+            _SHARD_MEMBERS,
+            _NO_PARTICIPATE,
+            _QUIET,
+            _LOG_LEVEL,
+        ),
+    ),
+    "trace": _Command(
+        _trace,
+        "render the telemetry span tree recorded under a cache directory "
+        "(coordinator, workers and in-process runs all append to "
+        "<cache_dir>/telemetry/)",
+        (_STORE, _SUITE, _JSON),
+    ),
+    "report": _Command(
+        _report,
+        "emit markdown + JSON variance-budget reports from cached suite "
+        "completion records (zero re-execution)",
+        (_STORE, _SUITE, _JSON),
+    ),
+    "list": _Command(_list, "list registered studies", (_JSON,)),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Run registered studies from declarative JSON specs.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        subparser = commands.add_parser(name, help=command.help)
+        for option in command.options:
+            subparser.add_argument(option.flag, **option.kwargs)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         try:
             setup_logging(getattr(args, "log_level", None))
         except ValueError as error:
             raise CLIError(str(error)) from error
-        if args.command == "list":
-            return _list(args)
-        if args.command == "suite":
-            return _suite(args)
-        if args.command == "serve":
-            return _serve(args)
-        if args.command == "worker":
-            return _worker(args)
-        if args.command == "queue":
-            return _queue_status(args)
-        if args.command == "gc":
-            return _gc(args)
-        if args.command == "report":
-            return _report(args)
-        if args.command == "trace":
-            return _trace(args)
-        return _run(args)
+        for option in command.options:
+            problem = option.problem(args)
+            if problem is not None:
+                raise CLIError(problem)
+        return command.handler(args)
     except CLIError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

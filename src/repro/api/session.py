@@ -788,12 +788,17 @@ class Session:
         """
         if distributed:
             from repro.sched import Coordinator  # local: sched <- api
+            from repro.sched.queue import DEFAULT_LEASE_SECONDS
 
             coordinator = Coordinator(
                 self,
                 suite,
                 shard_members=shard_members,
-                lease_seconds=30.0 if lease_seconds is None else lease_seconds,
+                lease_seconds=(
+                    DEFAULT_LEASE_SECONDS
+                    if lease_seconds is None
+                    else lease_seconds
+                ),
                 poll_seconds=0.2 if poll_seconds is None else poll_seconds,
                 queue_backend=queue_backend,
                 max_attempts=max_attempts,

@@ -226,6 +226,14 @@ def measurement_key(
     return hashlib.sha256(blob).hexdigest()
 
 
+def _check_budgets(max_bytes: Optional[int], max_entries: Optional[int]) -> None:
+    """Reject a byte or entry budget below 1 (``None`` means unbounded)."""
+    if max_bytes is not None and max_bytes < 1:
+        raise ValueError("max_bytes must be a positive integer or None")
+    if max_entries is not None and max_entries < 1:
+        raise ValueError("max_entries must be a positive integer or None")
+
+
 class FileStore:
     """Content-addressed per-key persistence under one directory.
 
@@ -267,10 +275,7 @@ class FileStore:
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
     ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be a positive integer or None")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be a positive integer or None")
+        _check_budgets(max_bytes, max_entries)
         self.directory = str(directory)
         self._objects = os.path.join(self.directory, "objects")
         self.max_bytes = max_bytes
@@ -499,8 +504,10 @@ class FileStore:
         lists pruned keys.
 
         Returns a stats dict: entries/bytes removed by this pass, tmp files
-        swept, and the surviving entry/byte counts.
+        swept, and the surviving entry/byte counts.  Overrides below 1 raise
+        :class:`ValueError` before anything is touched, as in the constructor.
         """
+        _check_budgets(max_bytes, max_entries)
         budget_bytes = self.max_bytes if max_bytes is None else int(max_bytes)
         budget_entries = (
             self.max_entries if max_entries is None else int(max_entries)
@@ -647,10 +654,7 @@ class MeasurementCache:
         max_store_entries: Optional[int] = None,
         max_store_bytes: Optional[int] = None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be a positive integer or None")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be a positive integer or None")
+        _check_budgets(max_bytes, max_entries)
         if path is not None and cache_dir is not None:
             raise ValueError(
                 "path (monolithic pickle) and cache_dir (per-key file store) "

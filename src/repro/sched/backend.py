@@ -54,6 +54,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import atomic_write
 
+#: Default heartbeat lease: a claimed task whose lease is older than this is
+#: presumed crashed and may be stolen.  Re-exported by :mod:`repro.sched.queue`.
+DEFAULT_LEASE_SECONDS = 30.0
+
 __all__ = [
     "FilesystemBackend",
     "QueueBackend",
@@ -335,7 +339,9 @@ class FilesystemBackend(QueueBackend):
 
     _STATE_DIRS = ("pending", "running", "done", "failed", "results", "errors")
 
-    def __init__(self, directory: str, *, lease_seconds: float = 30.0) -> None:
+    def __init__(
+        self, directory: str, *, lease_seconds: float = DEFAULT_LEASE_SECONDS
+    ) -> None:
         directory = str(directory)
         super().__init__(os.path.basename(directory), lease_seconds)
         self.directory = directory

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.api.results import StudyResult, SuiteResult, merge_results
 from repro.api.spec import SuiteSpec
 from repro.engine.cache import atomic_write
-from repro.sched.queue import TaskQueue, TaskRecord
+from repro.sched.queue import DEFAULT_LEASE_SECONDS, TaskQueue, TaskRecord
 from repro.sched.worker import Worker
 from repro.telemetry.tracing import suite_trace_context, trace
 
@@ -79,7 +79,7 @@ class Coordinator:
         suite: SuiteSpec,
         *,
         shard_members: bool = False,
-        lease_seconds: float = 30.0,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = 0.2,
         queue_backend: Optional[str] = None,
         max_attempts: Optional[int] = None,

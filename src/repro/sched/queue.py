@@ -57,6 +57,7 @@ from repro.telemetry.instruments import (
     SCHED_STEALS,
 )
 from repro.sched.backend import (
+    DEFAULT_LEASE_SECONDS,
     QUEUE_BACKENDS,
     FilesystemBackend,
     QueueBackend,
@@ -73,7 +74,8 @@ __all__ = [
 
 _PLAN_VERSION = 1
 
-#: Default executions a task gets before a *transient* failure parks it.
+#: Default executions a task gets before a *transient* failure parks it;
+#: the default lease, ``DEFAULT_LEASE_SECONDS``, is imported above.
 DEFAULT_MAX_ATTEMPTS = 3
 
 #: Default retry-backoff policy: first retry ~1-2s after the failure
@@ -225,7 +227,7 @@ class TaskQueue:
         self,
         directory: str,
         *,
-        lease_seconds: float = 30.0,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         backend: Union[str, QueueBackend, None] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         retry_base_seconds: float = DEFAULT_RETRY_BASE_SECONDS,
@@ -263,7 +265,7 @@ class TaskQueue:
         suite_name: str,
         *,
         backend: Union[str, QueueBackend, None] = None,
-        lease_seconds: float = 30.0,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         **kwargs: Any,
     ) -> "TaskQueue":
         """The queue of ``suite_name`` inside a shared ``cache_dir``.

@@ -47,6 +47,7 @@ import uuid
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sched.backend import (
+    DEFAULT_LEASE_SECONDS,
     QueueBackend,
     QueueState,
     TaskClaim,
@@ -110,7 +111,7 @@ class SqliteBackend(QueueBackend):
         db_path: str,
         suite_name: str,
         *,
-        lease_seconds: float = 30.0,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         busy_timeout: float = DEFAULT_BUSY_TIMEOUT,
     ) -> None:
         super().__init__(suite_name, lease_seconds)

@@ -44,7 +44,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.session import Session
-from repro.sched.queue import TaskClaim, TaskQueue, TaskRecord
+from repro.sched.queue import (
+    DEFAULT_LEASE_SECONDS,
+    TaskClaim,
+    TaskQueue,
+    TaskRecord,
+)
 from repro.telemetry.instruments import WORKER_EVENTS
 from repro.telemetry.tracing import SpanContext, trace
 
@@ -142,7 +147,7 @@ class Worker:
         *,
         suite: Optional[str] = None,
         worker_id: Optional[str] = None,
-        lease_seconds: float = 30.0,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = 0.5,
         queue_backend: Optional[str] = None,
         max_attempts: Optional[int] = None,
@@ -159,6 +164,8 @@ class Worker:
         self.suite = suite
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.lease_seconds = float(lease_seconds)
+        if poll_seconds < 0:
+            raise ValueError("poll_seconds must be non-negative")
         self.poll_seconds = float(poll_seconds)
         self.queue_backend = queue_backend
         self.max_attempts = max_attempts

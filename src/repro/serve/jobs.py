@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.api.session import Session
 from repro.api.spec import StudySpec, SuiteSpec
 from repro.engine.executor import StudyCancelled
+from repro.sched.queue import DEFAULT_LEASE_SECONDS
 
 __all__ = ["Job", "JobRegistry"]
 
@@ -238,7 +239,7 @@ class JobRegistry:
         queue_backend: Optional[str] = None,
         shard_members: bool = False,
         participate: bool = True,
-        lease_seconds: float = 30.0,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = 0.2,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,

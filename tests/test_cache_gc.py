@@ -138,6 +138,15 @@ class TestExplicitGC:
         assert more["removed_entries"] == 1
         assert store.keys() == ["dd44"]
 
+    def test_gc_rejects_override_budgets_below_one(self, tmp_path):
+        store = FileStore(str(tmp_path))
+        for key in ("aa11", "bb22", "cc33"):
+            store.write(key, key)
+        for overrides in ({"max_entries": -3}, {"max_bytes": 0}):
+            with pytest.raises(ValueError, match="positive integer"):
+                store.gc(**overrides)
+        assert len(store) == 3 and store.removed_entries == 0
+
     def test_gc_without_budgets_only_sweeps(self, tmp_path):
         store = FileStore(str(tmp_path))
         store.write("aa11", "a")

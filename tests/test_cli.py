@@ -7,11 +7,12 @@ traceback.  Success-path payload shapes (``run --json``, ``suite
 --json``, ``gc --json``) are asserted structurally.
 """
 
+import argparse
 import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, main
 from repro.api import StudySpec, SuiteSpec, list_studies
 from repro.engine.cache import FileStore
 
@@ -272,3 +273,145 @@ class TestReportCommand:
         assert main(["report", str(store), "--suite", "s"]) == 0
         objects = FileStore(str(store))
         assert (len(objects), objects.total_bytes) == before
+
+
+class TestGCBudgetTypo:
+    def test_negative_entry_budget_exits_2_and_deletes_nothing(
+        self, tmp_path, capsys
+    ):
+        directory = str(tmp_path / "store")
+        store = FileStore(directory)
+        for key in ("aa11", "bb22", "cc33", "dd44", "ee55"):
+            store.write(key, key)
+        assert main(["gc", directory, "--max-entries", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--max-entries" in err
+        assert len(FileStore(directory)) == 5
+
+
+#: Parsed defaults of every subcommand, copied from the parser before the
+#: options were declared once each: no flag, dest or default may move.
+PINNED_DEFAULTS = {
+    "run": {
+        "command": "run", "spec": "spec.json", "n_jobs": None,
+        "backend": None, "batch_size": None, "cache_dir": None,
+        "json": False, "log_level": None,
+    },
+    "suite": {
+        "command": "suite", "manifest": "manifest.json", "n_jobs": None,
+        "backend": None, "batch_size": None, "cache_dir": None,
+        "resume": False, "distributed": False, "shard_members": False,
+        "lease_seconds": None, "queue_backend": None, "max_attempts": None,
+        "stall_seconds": None, "json": False, "log_level": None,
+    },
+    "worker": {
+        "command": "worker", "cache_dir": "store", "suite": None,
+        "lease_seconds": 30.0, "poll_seconds": 0.5, "max_tasks": None,
+        "timeout": None, "exit_when_done": False, "worker_id": None,
+        "n_jobs": None, "backend": None, "batch_size": None,
+        "queue_backend": None, "max_attempts": None, "stall_seconds": None,
+        "log_level": None,
+    },
+    "queue": {
+        "command": "queue", "cache_dir": "store", "suite": None,
+        "queue_backend": None, "lease_seconds": 30.0, "json": False,
+    },
+    "gc": {
+        "command": "gc", "cache_dir": "store", "max_bytes": None,
+        "max_entries": None, "json": False,
+    },
+    "serve": {
+        "command": "serve", "cache_dir": "store", "host": "127.0.0.1",
+        "port": 8321, "n_jobs": None, "backend": None, "batch_size": None,
+        "max_concurrent_studies": None, "queue_backend": None,
+        "shard_members": False, "no_participate": False,
+        "lease_seconds": 30.0, "max_attempts": None, "stall_seconds": None,
+        "quiet": False, "log_level": None,
+    },
+    "trace": {
+        "command": "trace", "cache_dir": "store", "suite": None,
+        "json": False,
+    },
+    "report": {
+        "command": "report", "cache_dir": "store", "suite": None,
+        "json": False,
+    },
+    "list": {"command": "list", "json": False},
+}
+
+#: Every numeric option with a range, per subcommand that takes it, and
+#: one out-of-range value for it.  ``--n-jobs`` has no range: any integer
+#: is valid (negative = all cores).
+OUT_OF_RANGE = [
+    ("run", "--batch-size", "0"),
+    ("suite", "--batch-size", "0"),
+    ("suite", "--lease-seconds", "0"),
+    ("suite", "--max-attempts", "0"),
+    ("suite", "--stall-seconds", "-1"),
+    ("worker", "--batch-size", "-2"),
+    ("worker", "--lease-seconds", "-5"),
+    ("worker", "--max-attempts", "0"),
+    ("worker", "--stall-seconds", "0"),
+    ("worker", "--poll-seconds", "-1"),
+    ("worker", "--max-tasks", "0"),
+    ("worker", "--timeout", "0"),
+    ("queue", "--lease-seconds", "0"),
+    ("gc", "--max-bytes", "0"),
+    ("gc", "--max-entries", "-3"),
+    ("serve", "--port", "70000"),
+    ("serve", "--batch-size", "0"),
+    ("serve", "--max-concurrent-studies", "0"),
+    ("serve", "--lease-seconds", "0"),
+    ("serve", "--max-attempts", "-1"),
+    ("serve", "--stall-seconds", "0"),
+]
+
+
+def _positionals(command, tmp_path):
+    """Valid positionals for ``command``: an existing cache dir, or a
+    spec/manifest path (the range checks run before it is read)."""
+    if command in ("run", "suite"):
+        return [str(tmp_path / "input.json")]
+    return [] if command == "list" else [str(tmp_path)]
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", sorted(PINNED_DEFAULTS))
+    def test_parsed_defaults_are_pinned(self, command):
+        positionals = {"run": ["spec.json"], "suite": ["manifest.json"]}.get(
+            command, [] if command == "list" else ["store"]
+        )
+        args = _build_parser().parse_args([command, *positionals])
+        assert vars(args) == PINNED_DEFAULTS[command]
+
+    def test_every_ranged_numeric_option_is_covered(self):
+        parser = _build_parser()
+        (subparsers,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        numeric = {
+            (command, action.option_strings[0])
+            for command, subparser in subparsers.choices.items()
+            for action in subparser._actions
+            if action.type in (int, float)
+            and action.option_strings != ["--n-jobs"]
+        }
+        assert numeric == {(cmd, flag) for cmd, flag, _ in OUT_OF_RANGE}
+
+    @pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE)
+    def test_out_of_range_value_exits_2_naming_the_flag(
+        self, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{command} started despite {flag} {value}")
+
+        # A missed check must fail here, not serve or poll forever.
+        monkeypatch.setattr("repro.serve.serve", unreachable)
+        monkeypatch.setattr("repro.sched.Worker.run", unreachable)
+        argv = [command, *_positionals(command, tmp_path), flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err.splitlines()[0]
+        assert "Traceback" not in err

@@ -1137,6 +1137,10 @@ class TestWorkerCLI:
         assert main(["worker", str(tmp_path / "nope")]) == 2
         assert "no cache directory" in capsys.readouterr().err
 
+    def test_worker_rejects_negative_poll_seconds(self, tmp_path):
+        with pytest.raises(ValueError, match="poll_seconds"):
+            Worker(str(tmp_path), poll_seconds=-1)
+
     def test_run_suite_rejects_scheduler_knobs_without_distributed(
         self, tmp_path
     ):
