@@ -27,10 +27,17 @@ every measurement from disk (zero misses).  The timings land in the
 committed ``benchmarks/BENCH_engine.json`` record: every phase merges its
 numbers into that file **before** asserting anything, so the trajectory
 is never empty — a failing speedup claim still leaves the measured
-numbers behind for the next reader.  Per-backend dispatch overhead (the
-wall-clock cost of pushing one no-op item through each executor backend)
-rides along so batching wins can be attributed: batching amortizes
-exactly this overhead.
+numbers behind for the next reader.  Per-backend dispatch overhead rides
+along so batching wins can be attributed: ``pool_start`` is the one-time
+cost of an executor's first map (forking the process pool), and
+``dispatch_overhead`` the per-item cost of a second map on the same, now
+warm, executor — the overhead batching amortizes.
+
+``test_hpo_lockstep`` covers HPO: the three Figure 1 HOpt algorithms'
+``hpo_variance_study`` runs serial and unbatched, then again at
+``batch_size=8``, where the runs advance trial by trial through one
+stacked kernel (lockstep HPO).  Scores must be bitwise-identical and the
+lockstep run faster on one core.
 
 ``test_suite_cold_vs_resume`` covers the suite-manifest layer on top: a
 three-member suite runs cold against a byte-budgeted shared store, a
@@ -65,10 +72,13 @@ import repro
 from repro.api import Session, StudySpec, SuiteSpec
 from repro.core.benchmark import BenchmarkProcess
 from repro.core.sources import VarianceSource
-from repro.core.variance import variance_decomposition_study
+from repro.core.variance import hpo_variance_study, variance_decomposition_study
 from repro.data.tasks import get_task
 from repro.engine import FileStore, MeasurementCache, StudyRunner
 from repro.engine.executor import ParallelExecutor
+from repro.hpo.bayesopt import BayesianOptimization
+from repro.hpo.grid import NoisyGridSearch
+from repro.hpo.random_search import RandomSearch
 from repro.utils.tables import format_table
 
 N_WORKERS = 4
@@ -106,25 +116,34 @@ def _noop(item):
     return item
 
 
-def _dispatch_overhead(n_items: int = 64) -> dict:
-    """Per-item cost of pushing a no-op through each executor backend.
+def _dispatch_costs(n_items: int = 64) -> dict:
+    """Pool start and warm per-item dispatch cost of each executor backend.
 
-    This is the overhead batching amortizes: a batch of B measurements
-    pays it once instead of B times.  The process number includes pool
-    start-up and shutdown — deliberately, since a one-map stand-alone
-    call pays both (a session pays them once, across all its maps).
+    Each backend maps a no-op over ``n_items`` twice on one executor.  The
+    second map gives ``dispatch_overhead`` (seconds per item): the warm
+    per-item cost that batching amortizes.  The first map's extra wall
+    time over the second gives ``pool_start`` (seconds): the one-time cost
+    of the executor's first map, which for the process backend is forking
+    the pool — a session pays it once, and a warm pool never again.
     """
-    overhead = {}
+    pool_start, per_item = {}, {}
     for backend, n_jobs in (
         ("serial", 1),
         ("thread", N_WORKERS),
         ("process", N_WORKERS),
     ):
-        start = time.perf_counter()
+        items = list(range(n_items))
         with ParallelExecutor(n_jobs, backend=backend) as executor:
-            executor.map(_noop, list(range(n_items)))
-        overhead[backend] = (time.perf_counter() - start) / n_items
-    return overhead
+            start = time.perf_counter()
+            executor.map(_noop, items)
+            first = time.perf_counter() - start
+            start = time.perf_counter()
+            executor.map(_noop, items)
+            warm = time.perf_counter() - start
+        pool_start[backend] = max(0.0, first - warm)
+        per_item[backend] = warm / n_items
+    return {"pool_start": pool_start, "dispatch_overhead": per_item}
+
 
 SOURCES = (
     VarianceSource.DATA,
@@ -217,7 +236,7 @@ def _run_engine_comparison(*, n_seeds, dataset_size, random_state=0):
         "parallel_batched_speedup": serial_time / parallel_batched_time,
         "cached_speedup": serial_time / cached_time,
         "store_speedup": serial_time / store_time,
-        "dispatch_overhead": _dispatch_overhead(),
+        **_dispatch_costs(),
         "cache_stats": cache.stats(),
         "store_stats": store_stats,
         "scores": {
@@ -293,6 +312,7 @@ def test_engine_speedup(benchmark, scale):
         "parallel_batched_speedup",
         "cached_speedup",
         "store_speedup",
+        "pool_start",
         "dispatch_overhead",
         "cache_stats",
         "store_stats",
@@ -336,6 +356,108 @@ def test_engine_speedup(benchmark, scale):
     # multi-core host must cut wall-clock by at least 2x.
     if (os.cpu_count() or 1) >= 4:
         assert result["parallel_speedup"] >= 2.0
+
+
+# ----------------------------------------------------------------------
+# Lockstep HPO: the Figure 1 HOpt sweep, unbatched vs batch_size=8
+# ----------------------------------------------------------------------
+def _figure1_hpo_algorithms():
+    """The three HOpt algorithms of the Figure 1 ``variance`` study."""
+    return {
+        "random_search": RandomSearch(),
+        "noisy_grid_search": NoisyGridSearch(),
+        "bayesopt": BayesianOptimization(n_initial_points=3, n_candidates=64),
+    }
+
+
+def _timed_hpo_study(process, runner, *, n_repetitions, random_state):
+    start = time.perf_counter()
+    scores = hpo_variance_study(
+        process,
+        _figure1_hpo_algorithms(),
+        n_repetitions=n_repetitions,
+        random_state=random_state,
+        runner=runner,
+    )
+    elapsed = time.perf_counter() - start
+    return elapsed, np.concatenate([scores[name] for name in sorted(scores)])
+
+
+def _run_hpo_lockstep(*, n_repetitions, hpo_budget, dataset_size, random_state=0):
+    task = get_task("entailment")
+    dataset = task.make_dataset(random_state=random_state, n_samples=dataset_size)
+    process = BenchmarkProcess(dataset, task.make_pipeline(), hpo_budget=hpo_budget)
+    serial_time, serial_scores = _timed_hpo_study(
+        process,
+        StudyRunner(process),
+        n_repetitions=n_repetitions,
+        random_state=random_state,
+    )
+    lockstep_time, lockstep_scores = _timed_hpo_study(
+        process,
+        StudyRunner(process, batch_size=BATCH_SIZE),
+        n_repetitions=n_repetitions,
+        random_state=random_state,
+    )
+    return {
+        "n_measurements": int(serial_scores.size),
+        "n_fits": int(serial_scores.size) * (hpo_budget + 1),
+        "serial_time": serial_time,
+        "lockstep_time": lockstep_time,
+        "hpo_lockstep_speedup": serial_time / lockstep_time,
+        "scores": {"serial": serial_scores, "lockstep": lockstep_scores},
+    }
+
+
+def test_hpo_lockstep(benchmark, scale):
+    result = run_once(
+        benchmark,
+        _run_hpo_lockstep,
+        n_repetitions=scale["n_hpo_repetitions"],
+        hpo_budget=scale["hpo_budget"],
+        dataset_size=scale["dataset_size"],
+    )
+    rows = [
+        {
+            "variant": "serial (batch_size=1)",
+            "seconds": result["serial_time"],
+            "speedup": 1.0,
+        },
+        {
+            "variant": f"lockstep (batch_size={BATCH_SIZE}, serial)",
+            "seconds": result["lockstep_time"],
+            "speedup": result["hpo_lockstep_speedup"],
+        },
+    ]
+    print()
+    print(
+        format_table(
+            rows,
+            columns=["variant", "seconds", "speedup"],
+            title=(
+                f"Lockstep HPO — {result['n_measurements']} HOpt runs, "
+                f"{result['n_fits']} fits, {os.cpu_count()} cores"
+            ),
+        )
+    )
+    recorded = (
+        "n_measurements",
+        "n_fits",
+        "serial_time",
+        "lockstep_time",
+        "hpo_lockstep_speedup",
+    )
+    for key in recorded:
+        benchmark.extra_info[key] = result[key]
+    record_bench("hpo_lockstep", {key: result[key] for key in recorded})
+
+    # Lockstep HPO is an execution detail: every score is bitwise the
+    # serial one.
+    np.testing.assert_array_equal(
+        result["scores"]["serial"], result["scores"]["lockstep"]
+    )
+    # One stacked fit per trial instead of B needs no extra cores.
+    assert result["hpo_lockstep_speedup"] > 1.0
 
 
 # ----------------------------------------------------------------------

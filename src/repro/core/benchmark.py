@@ -24,9 +24,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data.dataset import Dataset
 from repro.data.resampling import BootstrapResampler
-from repro.hpo.base import HPOptimizer, HPOResult
+from repro.hpo.base import HPOptimizer, HPOResult, optimize_lockstep
 from repro.hpo.random_search import RandomSearch
-from repro.pipelines.base import Pipeline, fit_and_score, fit_and_score_many
+from repro.pipelines.base import Pipeline, fit_and_score_many
 from repro.utils.rng import SeedBundle
 from repro.utils.validation import check_positive_int
 
@@ -122,22 +122,37 @@ class BenchmarkProcess:
         are taken from ``seeds`` (the :math:`\\xi_O` part); the optimizer's
         own randomness comes from the ``hopt`` stream (the :math:`\\xi_H`
         part).  The objective minimized is ``1 - validation score``, i.e.
-        the validation error / regret tracked in Figure F.2.
+        the validation error / regret tracked in Figure F.2.  This is the
+        B=1 case of the lockstep HOpt behind :meth:`measure_with_hpo_many`.
         """
         budget = self.hpo_budget if budget is None else check_positive_int(budget, "budget")
         train, valid, _ = self.split(seeds)
+        return self._run_hpo_many(
+            [seeds], [self.hpo_algorithm], [train], [valid], budget
+        )[0]
 
-        def objective(config: Mapping[str, Any]) -> float:
-            outcome = fit_and_score(
-                self.pipeline, train, valid, config, seeds, valid=valid
+    def _run_hpo_many(
+        self,
+        seeds_list: List[SeedBundle],
+        algorithms: Sequence[HPOptimizer],
+        trains: List[Dataset],
+        valids: List[Dataset],
+        budget: int,
+    ) -> List[HPOResult]:
+        """B HOpt runs in lockstep: each trial's B configs fit as one batch."""
+
+        def objective_many(configs: List[Dict[str, Any]]) -> List[float]:
+            outcomes = fit_and_score_many(
+                self.pipeline, trains, valids, configs, seeds_list, valids=valids
             )
-            return 1.0 - float(outcome.valid_score)
+            return [1.0 - float(outcome.valid_score) for outcome in outcomes]
 
-        return self.hpo_algorithm.optimize(
-            objective,
+        return optimize_lockstep(
+            algorithms,
+            objective_many,
             self.pipeline.search_space(),
             budget=budget,
-            random_state=seeds.rng_for("hopt"),
+            random_states=[seeds.rng_for("hopt") for seeds in seeds_list],
         )
 
     def measure(
@@ -149,18 +164,10 @@ class BenchmarkProcess:
 
         This is the inner loop of the biased estimator (Algorithm 2): the
         hyperparameters come from a previous HOpt run and only the
-        :math:`\\xi_O` seeds of ``seeds`` matter.
+        :math:`\\xi_O` seeds of ``seeds`` matter.  The B=1 call of
+        :meth:`measure_many`.
         """
-        train, valid, test = self.split(seeds)
-        outcome = fit_and_score(self.pipeline, train, test, hparams, seeds, valid=valid)
-        return Measurement(
-            test_score=float(outcome.test_score),
-            valid_score=outcome.valid_score,
-            train_score=float(outcome.train_score),
-            hparams=dict(outcome.hparams),
-            seeds=seeds,
-            n_fits=1,
-        )
+        return self.measure_many([seeds], hparams)[0]
 
     def measure_many(
         self,
@@ -201,16 +208,61 @@ class BenchmarkProcess:
 
         Runs :math:`HOpt` for ``hpo_budget`` trials under the given seeds,
         then trains with the best configuration and evaluates on the test
-        set.  Costs ``hpo_budget + 1`` model fits.
+        set.  Costs ``hpo_budget + 1`` model fits.  The B=1 call of
+        :meth:`measure_with_hpo_many`.
         """
-        hpo_result = self.run_hpo(seeds)
-        measurement = self.measure(seeds, hpo_result.best_config)
-        return Measurement(
-            test_score=measurement.test_score,
-            valid_score=measurement.valid_score,
-            train_score=measurement.train_score,
-            hparams=measurement.hparams,
-            seeds=seeds,
-            n_fits=self.hpo_budget + 1,
-            hpo_result=hpo_result,
+        return self.measure_with_hpo_many([seeds])[0]
+
+    def measure_with_hpo_many(
+        self,
+        seeds_list: Sequence[SeedBundle],
+        algorithms: Optional[Sequence[Optional[HPOptimizer]]] = None,
+    ) -> List[Measurement]:
+        """B measurements, each with its own HOpt run, in lockstep.
+
+        Each seed bundle draws its own resample; item ``b`` then runs
+        ``algorithms[b]`` (``None``, or no ``algorithms`` at all, means the
+        process's ``hpo_algorithm``) with its own ``hopt`` stream.  The B
+        runs advance trial by trial (:func:`~repro.hpo.base.optimize_lockstep`):
+        each trial's B configurations train as one :meth:`Pipeline.fit_many`
+        batch, stacked with per-item hyperparameters where the pipeline
+        vectorizes, and the B final fits with each item's best config are
+        one more batch.  Per item the measurement is bitwise-identical to
+        :meth:`measure_with_hpo` on a process running that item's algorithm.
+        """
+        seeds_list = list(seeds_list)
+        if not seeds_list:
+            return []
+        if algorithms is None:
+            algorithms = [None] * len(seeds_list)
+        if len(algorithms) != len(seeds_list):
+            raise ValueError("seeds_list and algorithms must align")
+        algorithms = [
+            self.hpo_algorithm if algorithm is None else algorithm
+            for algorithm in algorithms
+        ]
+        splits = [self.split(seeds) for seeds in seeds_list]
+        trains, valids, tests = (list(part) for part in zip(*splits))
+        hpo_results = self._run_hpo_many(
+            seeds_list, algorithms, trains, valids, self.hpo_budget
         )
+        outcomes = fit_and_score_many(
+            self.pipeline,
+            trains,
+            tests,
+            [result.best_config for result in hpo_results],
+            seeds_list,
+            valids=valids,
+        )
+        return [
+            Measurement(
+                test_score=float(outcome.test_score),
+                valid_score=outcome.valid_score,
+                train_score=float(outcome.train_score),
+                hparams=dict(outcome.hparams),
+                seeds=seeds,
+                n_fits=self.hpo_budget + 1,
+                hpo_result=hpo_result,
+            )
+            for outcome, seeds, hpo_result in zip(outcomes, seeds_list, hpo_results)
+        ]

@@ -68,11 +68,16 @@ class WorkItem:
     with_hpo:
         When true the measurement includes its own HOpt run
         (:meth:`~repro.core.benchmark.BenchmarkProcess.measure_with_hpo`).
+        With ``batch_size > 1`` the runner groups HPO items into tasks
+        whose HOpt runs advance in lockstep
+        (:meth:`~repro.core.benchmark.BenchmarkProcess.measure_with_hpo_many`).
     hpo_algorithm:
         The HOpt algorithm a ``with_hpo`` item runs; ``None`` uses the
         process's own ``hpo_algorithm``.  Carrying it on the item lets one
         batch mix algorithms (an HOpt-variance sweep submits every
-        algorithm's repetitions at once) without mutating the process.
+        algorithm's repetitions at once, and one lockstep task may hold
+        several algorithms) without mutating the process.  The HOpt loop
+        runs a deep copy per item, so items never share search state.
     scope_path:
         Provenance label: the :class:`~repro.utils.rng.SeedScope` path the
         seeds were derived from (e.g. ``task=entailment/rep=3``), when the
@@ -109,21 +114,23 @@ class WorkItem:
         )
 
 
-def _execute_item(process: BenchmarkProcess, item: WorkItem) -> Measurement:
-    """Run one work item against the process (top level: process-picklable)."""
-    if item.with_hpo:
-        # HPO algorithms may keep per-run state (e.g. NoisyGridSearch builds
-        # its grid in prepare()); concurrent with_hpo items on the thread
-        # backend would race on the shared instance.  A shallow process copy
-        # with its own deep-copied optimizer keeps every item independent —
-        # pipelines, datasets and resamplers are fit-pure and stay shared.
-        algorithm = item.hpo_algorithm
-        if algorithm is None:
-            algorithm = process.hpo_algorithm
-        process = copy.copy(process)
-        process.hpo_algorithm = copy.deepcopy(algorithm)
-        return process.measure_with_hpo(item.seeds)
-    return process.measure(item.seeds, item.hparams)
+def _execute_task(
+    process: BenchmarkProcess, task: Sequence[WorkItem]
+) -> List[Measurement]:
+    """Run one homogeneous task against the process (process-picklable).
+
+    A task is either HPO items, whose HOpt runs advance in lockstep
+    (:meth:`BenchmarkProcess.measure_with_hpo_many`, each item with its
+    own algorithm), or items sharing hyperparameters, fitted as one
+    vectorized batch (:meth:`BenchmarkProcess.measure_many`).  A task of
+    one item is the exact per-item path.
+    """
+    seeds_list = [item.seeds for item in task]
+    if task[0].with_hpo:
+        return process.measure_with_hpo_many(
+            seeds_list, [item.hpo_algorithm for item in task]
+        )
+    return process.measure_many(seeds_list, task[0].hparams)
 
 
 class _BoundExecute:
@@ -146,7 +153,7 @@ class _BoundExecute:
         self.dataset_handle = dataset_handle
 
     def __call__(self, item: WorkItem) -> Measurement:
-        return _execute_item(self.process, item)
+        return _execute_task(self.process, (item,))[0]
 
     def __getstate__(self) -> dict:
         if self.dataset_handle is None:
@@ -165,20 +172,15 @@ class _BoundExecute:
 class _BoundExecuteMany(_BoundExecute):
     """Picklable ``(item, ...) -> [Measurement, ...]`` batched closure.
 
-    Homogeneous multi-item tasks (same hyperparameters, no HPO — the
-    grouping :meth:`StudyRunner._plan_batches` guarantees) go through the
-    vectorized :meth:`BenchmarkProcess.measure_many`; singletons and HPO
-    items take the exact per-item path.
+    Tasks are homogeneous — the grouping :meth:`StudyRunner._plan_batches`
+    guarantees — and run through :func:`_execute_task`: HPO items in
+    lockstep, the others as one vectorized multi-seed fit.
     """
 
     __slots__ = ()
 
     def __call__(self, task: Tuple[WorkItem, ...]) -> List[Measurement]:
-        if len(task) == 1 or any(item.with_hpo for item in task):
-            return [_execute_item(self.process, item) for item in task]
-        return self.process.measure_many(
-            [item.seeds for item in task], task[0].hparams
-        )
+        return _execute_task(self.process, task)
 
 
 class StudyRunner:
@@ -202,9 +204,11 @@ class StudyRunner:
     cache:
         Optional :class:`MeasurementCache` for cross-batch memoization.
     batch_size:
-        Group up to this many compatible work items (same hyperparameters,
-        no HPO, different seeds) into one dispatched task, executed through
-        the pipeline's vectorized multi-seed kernel.  Defaults to the
+        Group up to this many compatible work items into one dispatched
+        task, executed through the pipeline's vectorized multi-seed kernel:
+        items with the same hyperparameters and different seeds, or HPO
+        items, whose HOpt runs advance in lockstep with per-item
+        hyperparameters (see :meth:`_plan_batches`).  Defaults to the
         executor's ``batch_size`` hint (``1`` = no batching).  Batched
         results are bitwise-identical to per-item execution.
     """
@@ -327,27 +331,36 @@ class StudyRunner:
     ) -> Tuple[List[Tuple[WorkItem, ...]], List[Tuple[int, ...]]]:
         """Group items into dispatchable tasks of up to ``batch_size``.
 
-        Only items sharing canonical hyperparameters (and not running HPO)
-        are grouped — exactly the compatibility the vectorized kernel
-        needs.  HPO items stay singleton tasks.  Grouping preserves
-        first-seen order, and the returned positions map each task's
-        measurements back to submission order.
+        Items sharing canonical hyperparameters (and not running HPO) are
+        grouped — exactly the compatibility the vectorized kernel needs.
+        All HPO items form one group whatever their algorithm, since
+        lockstep HOpt stacks per-item hyperparameters; that group is
+        chunked at ``min(batch_size, ceil(len(group) / workers))`` so a
+        sweep spreads over every worker of the executor instead of leaving
+        some idle.  Grouping preserves first-seen order, and the returned
+        positions map each task's measurements back to submission order.
         """
         groups: Dict[str, List[int]] = {}
         for position, item in enumerate(items):
-            if item.with_hpo:
-                key = f"hpo/{position}"
-            else:
-                key = repr(_canonical_value(item.hparams))
+            key = "hpo" if item.with_hpo else repr(_canonical_value(item.hparams))
             groups.setdefault(key, []).append(position)
         tasks: List[Tuple[WorkItem, ...]] = []
         positions: List[Tuple[int, ...]] = []
-        for members in groups.values():
-            for start in range(0, len(members), self.batch_size):
-                chunk = members[start : start + self.batch_size]
+        for key, members in groups.items():
+            size = self.batch_size
+            if key == "hpo":
+                size = min(size, -(-len(members) // self._worker_count()))
+            for start in range(0, len(members), size):
+                chunk = members[start : start + size]
                 tasks.append(tuple(items[position] for position in chunk))
                 positions.append(tuple(chunk))
         return tasks, positions
+
+    def _worker_count(self) -> int:
+        """Workers the executor runs tasks on (1 when it runs them inline)."""
+        if getattr(self.executor, "effective_backend", "serial") == "serial":
+            return 1
+        return max(1, int(getattr(self.executor, "n_jobs", 1)))
 
     def run_scores(self, items: Sequence[WorkItem]) -> np.ndarray:
         """Execute every item and return the test scores as a float array."""

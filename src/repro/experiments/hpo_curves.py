@@ -173,7 +173,7 @@ def run_hpo_curves_study(
             )
             # Derive the per-repetition HOpt seeds from their scope paths,
             # then fan the full HOpt runs out as with_hpo work items (the
-            # engine hands each item its own optimizer copy, so repetitions
+            # HOpt loop runs its own optimizer copy per item, so repetitions
             # never share search state).
             items = [
                 WorkItem(

@@ -6,23 +6,32 @@ error-rates) over a :class:`~repro.hpo.space.SearchSpace`, within a budget
 of ``T`` trials.  Every stochastic choice is drawn from the generator the
 caller provides, so the whole procedure is a deterministic function of its
 seed — that seed *is* the :math:`\\xi_H` variance source.
+
+Optimizers are ask-style (:meth:`HPOptimizer.propose`), so
+:func:`optimize_lockstep` can advance B independent runs trial by trial and
+score each trial's B configurations with one batched objective call — the
+stacked fit kernel then trains them together.  :meth:`HPOptimizer.optimize`
+is the B=1 case of that loop.
 """
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.hpo.space import SearchSpace
 from repro.utils.validation import check_positive_int, check_random_state
 
-__all__ = ["Trial", "HPOResult", "HPOptimizer"]
+__all__ = ["Trial", "HPOResult", "HPOptimizer", "optimize_lockstep"]
 
 #: Type of the objective handed to optimizers: smaller is better.
 Objective = Callable[[Dict[str, float]], float]
+#: Batched objective: one value per configuration, in order.
+ObjectiveMany = Callable[[List[Dict[str, float]]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,8 @@ class HPOptimizer(ABC):
     ) -> HPOResult:
         """Run the optimizer for ``budget`` trials and return all trials.
 
+        The B=1 call of :func:`optimize_lockstep`.
+
         Parameters
         ----------
         objective:
@@ -115,12 +126,55 @@ class HPOptimizer(ABC):
         random_state:
             Seed or generator — the :math:`\\xi_H` source.
         """
-        budget = check_positive_int(budget, "budget")
-        rng = check_random_state(random_state)
-        space = self.prepare(space, rng, budget)
-        result = HPOResult()
-        for index in range(budget):
-            config = self.propose(space, result.trials, rng, budget)
-            value = float(objective(config))
-            result.trials.append(Trial(config=dict(config), value=value, index=index))
-        return result
+        return optimize_lockstep(
+            [self],
+            lambda configs: [objective(config) for config in configs],
+            space,
+            budget=budget,
+            random_states=[random_state],
+        )[0]
+
+
+def optimize_lockstep(
+    optimizers: Sequence[HPOptimizer],
+    objective_many: ObjectiveMany,
+    space: SearchSpace,
+    *,
+    budget: int,
+    random_states: Sequence,
+) -> List[HPOResult]:
+    """Run B independent HOpt runs in lockstep, one trial at a time.
+
+    Item ``b`` keeps its own deep copy of ``optimizers[b]`` (optimizers may
+    keep per-run state, e.g. the grid a grid search lays out in
+    :meth:`~HPOptimizer.prepare`), its own generator from
+    ``random_states[b]``, its own prepared space and its own trial history.
+    At trial ``t`` every item proposes in item order, then the B configs
+    are scored by one ``objective_many`` call.  Each item draws from its
+    generator in the same order a run on its own would, so item ``b`` is
+    bitwise-identical to ``optimizers[b].optimize(...)`` with the same
+    seed and an objective that scores each configuration the same way.
+    """
+    budget = check_positive_int(budget, "budget")
+    if len(optimizers) != len(random_states):
+        raise ValueError("optimizers and random_states must align")
+    optimizers = [copy.deepcopy(optimizer) for optimizer in optimizers]
+    rngs = [check_random_state(state) for state in random_states]
+    spaces = [
+        optimizer.prepare(space, rng, budget)
+        for optimizer, rng in zip(optimizers, rngs)
+    ]
+    results = [HPOResult() for _ in optimizers]
+    for index in range(budget):
+        configs = [
+            dict(optimizer.propose(item_space, result.trials, rng, budget))
+            for optimizer, item_space, result, rng in zip(
+                optimizers, spaces, results, rngs
+            )
+        ]
+        values = list(objective_many(configs))
+        if len(values) != len(configs):
+            raise ValueError("objective_many must return one value per config")
+        for result, config, value in zip(results, configs, values):
+            result.trials.append(Trial(config=config, value=float(value), index=index))
+    return results

@@ -11,12 +11,34 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.data.dataset import Dataset
 from repro.utils.rng import SeedBundle
 
 __all__ = ["Pipeline", "FitOutcome", "fit_and_score", "fit_and_score_many"]
+
+#: Hyperparameters of one fit (``None``: the pipeline defaults).
+HParams = Optional[Mapping[str, Any]]
+
+
+def per_item_hparams(
+    hparams: Union[HParams, Sequence[HParams]], n_items: int
+) -> List[HParams]:
+    """One hyperparameter mapping per item of a batch.
+
+    A single mapping (or ``None``) is shared by all ``n_items`` items; a
+    sequence must hold exactly one mapping per item.
+    """
+    if hparams is None or isinstance(hparams, Mapping):
+        return [hparams] * n_items
+    hparams = list(hparams)
+    if len(hparams) != n_items:
+        raise ValueError(
+            f"expected one hyperparameter mapping per item ({n_items}), "
+            f"got {len(hparams)}"
+        )
+    return hparams
 
 
 @dataclass
@@ -89,25 +111,30 @@ class Pipeline(ABC):
     def fit_many(
         self,
         trains: Sequence[Dataset],
-        hparams: Mapping[str, Any],
+        hparams: Union[HParams, Sequence[HParams]],
         seeds_list: Sequence[SeedBundle],
         valids: Optional[Sequence[Optional[Dataset]]] = None,
     ) -> List[FitOutcome]:
-        """Fit one model per ``(train, seeds)`` pair under shared hyperparameters.
+        """Fit one model per ``(train, hparams, seeds)`` item.
 
-        The batching contract: every item shares the pipeline and the
-        hyperparameters while the seed bundles (and hence the resampled
-        training sets) differ per item.  The default implementation is a
-        sequential loop over :meth:`fit` — trivially bitwise-identical to
-        per-item execution — and pipelines that can vectorize (the linear
-        and MLP families) override it with a stacked multi-seed kernel that
-        preserves bitwise identity per item.
+        The batching contract: every item shares the pipeline while the
+        seed bundles (and hence the resampled training sets) and the
+        hyperparameters may differ per item — ``hparams`` is one mapping
+        per item, or a single mapping shared by all of them.  The default
+        implementation is a sequential loop over :meth:`fit` — trivially
+        bitwise-identical to per-item execution — and pipelines that can
+        vectorize (the linear and MLP families) override it with a stacked
+        multi-seed kernel, with per-slice hyperparameters, that preserves
+        bitwise identity per item.
         """
         if valids is None:
             valids = [None] * len(trains)
+        hparams_list = per_item_hparams(hparams, len(trains))
         return [
-            self.fit(train, hparams, seeds, valid=valid)
-            for train, seeds, valid in zip(trains, seeds_list, valids)
+            self.fit(train, item_hparams, seeds, valid=valid)
+            for train, item_hparams, seeds, valid in zip(
+                trains, hparams_list, seeds_list, valids
+            )
         ]
 
     def with_noise_layers(self, layers) -> "Pipeline":
@@ -147,28 +174,28 @@ def fit_and_score(
 ) -> FitOutcome:
     """Fit ``pipeline`` and fill in validation/test scores.
 
-    This is the single entry point used by estimators and HOpt: one call is
-    one model fit, which is the unit the paper's cost accounting counts
-    (O(kT) for the ideal estimator vs O(k+T) for the biased one).
+    One call is one model fit, which is the unit the paper's cost
+    accounting counts (O(kT) for the ideal estimator vs O(k+T) for the
+    biased one).  The B=1 call of :func:`fit_and_score_many`, the entry
+    point estimators and HOpt use.
     """
-    resolved = pipeline.resolve_hparams(hparams)
-    outcome = pipeline.fit(train, resolved, seeds, valid=valid)
-    if valid is not None and outcome.valid_score is None:
-        outcome.valid_score = pipeline.evaluate(outcome.model, valid)
-    outcome.test_score = pipeline.evaluate(outcome.model, test)
-    return outcome
+    return fit_and_score_many(
+        pipeline, [train], [test], hparams, [seeds], valids=[valid]
+    )[0]
 
 
 def fit_and_score_many(
     pipeline: Pipeline,
     trains: Sequence[Dataset],
     tests: Sequence[Dataset],
-    hparams: Optional[Mapping[str, Any]],
+    hparams: Union[HParams, Sequence[HParams]],
     seeds_list: Sequence[SeedBundle],
     valids: Optional[Sequence[Optional[Dataset]]] = None,
 ) -> List[FitOutcome]:
-    """Batched :func:`fit_and_score`: B fits under one shared configuration.
+    """Batched :func:`fit_and_score`: B fits, one configuration per item.
 
+    ``hparams`` is one mapping per item (an HOpt trial scores B different
+    configurations at once), or a single mapping shared by every item.
     Fits go through :meth:`Pipeline.fit_many` (vectorized where the
     pipeline supports it), evaluation stays per item on each item's own
     resample — test sets vary in size across bootstrap seeds, so scoring
@@ -177,7 +204,10 @@ def fit_and_score_many(
     """
     if valids is None:
         valids = [None] * len(trains)
-    resolved = pipeline.resolve_hparams(hparams)
+    resolved = [
+        pipeline.resolve_hparams(item)
+        for item in per_item_hparams(hparams, len(trains))
+    ]
     outcomes = pipeline.fit_many(trains, resolved, seeds_list, valids=valids)
     for outcome, valid, test in zip(outcomes, valids, tests):
         if valid is not None and outcome.valid_score is None:

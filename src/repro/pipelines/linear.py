@@ -9,12 +9,12 @@ seed-controlled mini-batch loop so they expose the same variance sources
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.pipelines.base import FitOutcome, Pipeline
+from repro.pipelines.base import FitOutcome, HParams, Pipeline, per_item_hparams
 from repro.pipelines.metrics import METRICS
 from repro.pipelines.nn.network import MLPNetwork
 from repro.pipelines.nn.optimizers import SGD
@@ -85,9 +85,9 @@ class _BaseLinearPipeline(Pipeline):
 
     def _build_optimizer(self, hparams: Mapping[str, Any]) -> SGD:
         return SGD(
-            learning_rate=float(hparams["learning_rate"]),
-            momentum=float(hparams["momentum"]),
-            weight_decay=float(hparams["weight_decay"]),
+            learning_rate=hparams["learning_rate"],
+            momentum=hparams["momentum"],
+            weight_decay=hparams["weight_decay"],
         )
 
     def _training_config(self, hparams: Mapping[str, Any]) -> TrainingConfig:
@@ -127,7 +127,7 @@ class _BaseLinearPipeline(Pipeline):
     def fit_many(
         self,
         trains: Sequence[Dataset],
-        hparams: Mapping[str, Any],
+        hparams: Union[HParams, Sequence[HParams]],
         seeds_list: Sequence[SeedBundle],
         valids: Optional[Sequence[Optional[Dataset]]] = None,
     ) -> List[FitOutcome]:
@@ -135,9 +135,10 @@ class _BaseLinearPipeline(Pipeline):
 
         if valids is None:
             valids = [None] * len(trains)
-        if not _stackable(self, trains):
-            return super().fit_many(trains, hparams, seeds_list, valids=valids)
-        return _fit_many_stacked(self, trains, hparams, seeds_list, valids)
+        hparams_list = per_item_hparams(hparams, len(trains))
+        if not _stackable(self, trains, hparams_list):
+            return super().fit_many(trains, hparams_list, seeds_list, valids=valids)
+        return _fit_many_stacked(self, trains, hparams_list, seeds_list, valids)
 
     def evaluate(self, model: MLPNetwork, dataset: Dataset) -> float:
         metric = METRICS[self.metric_name]

@@ -12,12 +12,12 @@ initialization standard deviation for the BERT-like configuration.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.pipelines.base import FitOutcome, Pipeline
+from repro.pipelines.base import FitOutcome, HParams, Pipeline, per_item_hparams
 from repro.pipelines.layers import NOISE_LAYERS, combo_label, normalize_layers
 from repro.pipelines.metrics import METRICS
 from repro.pipelines.nn.batched import BatchedNetwork
@@ -76,26 +76,33 @@ def _clip_hparams(hparams: Mapping[str, Any]) -> Dict[str, Any]:
     return clipped
 
 
-def _stackable(pipeline, trains: Sequence[Dataset]) -> bool:
+def _stackable(
+    pipeline, trains: Sequence[Dataset], hparams_list: Sequence[HParams] = ()
+) -> bool:
     """Whether a batch of training sets can share one stacked kernel.
 
     Bootstrap resamples of one dataset normally have identical train
     shapes (the in-bag size is fixed), but degenerate resamples (an empty
     out-of-bag set shrinks the in-bag pool) or a resample that misses the
     top class (changing the classifier's output width) break the stacking
-    precondition — those batches fall back to the serial loop.
+    precondition — those batches fall back to the serial loop.  So does a
+    batch whose items ask for different dropout rates: the stacked forward
+    pass draws one mask shape at one rate for every item.
     """
     if len(trains) < 2:
         return False
     if len({train.X.shape for train in trains}) != 1:
         return False
-    return len({pipeline._output_size(train) for train in trains}) == 1
+    if len({pipeline._output_size(train) for train in trains}) != 1:
+        return False
+    rates = {pipeline.resolve_hparams(h).get("dropout_rate") for h in hparams_list}
+    return len(rates) <= 1
 
 
 def _fit_many_stacked(
     pipeline,
     trains: Sequence[Dataset],
-    hparams: Mapping[str, Any],
+    hparams_list: Sequence[HParams],
     seeds_list: Sequence[SeedBundle],
     valids: Sequence[Optional[Dataset]],
 ) -> List[FitOutcome]:
@@ -103,19 +110,25 @@ def _fit_many_stacked(
 
     Per-item networks are initialized from each seed's own ``init`` stream
     (identical draws to the serial path), stacked into ``(B, in, out)``
-    tensors, and trained in one lockstep pass; a single element-wise
-    optimizer instance updates all B weight stacks per step.  Scores and
+    tensors, and trained in one lockstep pass.  Each item brings its own
+    hyperparameters: a single element-wise optimizer instance holds them
+    as ``(B,)`` per-slice values and updates all B weight stacks per step,
+    and each item keeps its own learning-rate schedule.  Scores and
     histories are bitwise-identical to B serial :meth:`Pipeline.fit` calls.
     """
-    hparams = _clip_hparams(pipeline.resolve_hparams(hparams))
+    hparams_list = [_clip_hparams(pipeline.resolve_hparams(h)) for h in hparams_list]
     networks = [
         pipeline._build_network(train, hparams, seeds)
-        for train, seeds in zip(trains, seeds_list)
+        for train, hparams, seeds in zip(trains, hparams_list, seeds_list)
     ]
     batched = BatchedNetwork(networks)
-    optimizer = pipeline._build_optimizer(hparams)
-    config = pipeline._training_config(hparams)
-    histories = train_network_many(batched, trains, optimizer, config, seeds_list)
+    per_slice = {
+        name: np.array([hparams[name] for hparams in hparams_list], dtype=float)
+        for name in ("learning_rate", "momentum", "weight_decay")
+    }
+    optimizer = pipeline._build_optimizer(per_slice)
+    configs = [pipeline._training_config(hparams) for hparams in hparams_list]
+    histories = train_network_many(batched, trains, optimizer, configs, seeds_list)
     batched.unstack()
     return [
         FitOutcome(
@@ -128,8 +141,8 @@ def _fit_many_stacked(
             seeds=seeds,
             history=history.as_dict(),
         )
-        for network, train, seeds, valid, history in zip(
-            networks, trains, seeds_list, valids, histories
+        for network, train, hparams, seeds, valid, history in zip(
+            networks, trains, hparams_list, seeds_list, valids, histories
         )
     ]
 
@@ -242,15 +255,16 @@ class _BaseMLPPipeline(Pipeline):
         )
 
     def _build_optimizer(self, hparams: Mapping[str, Any]):
+        """The optimizer; values may be floats or ``(B,)`` per-slice arrays."""
         if self.optimizer_name == "adam":
             return Adam(
-                learning_rate=float(hparams["learning_rate"]),
-                weight_decay=float(hparams["weight_decay"]),
+                learning_rate=hparams["learning_rate"],
+                weight_decay=hparams["weight_decay"],
             )
         return SGD(
-            learning_rate=float(hparams["learning_rate"]),
-            momentum=float(hparams["momentum"]),
-            weight_decay=float(hparams["weight_decay"]),
+            learning_rate=hparams["learning_rate"],
+            momentum=hparams["momentum"],
+            weight_decay=hparams["weight_decay"],
         )
 
     def _training_config(self, hparams: Mapping[str, Any]) -> TrainingConfig:
@@ -291,15 +305,16 @@ class _BaseMLPPipeline(Pipeline):
     def fit_many(
         self,
         trains: Sequence[Dataset],
-        hparams: Mapping[str, Any],
+        hparams: Union[HParams, Sequence[HParams]],
         seeds_list: Sequence[SeedBundle],
         valids: Optional[Sequence[Optional[Dataset]]] = None,
     ) -> List[FitOutcome]:
         if valids is None:
             valids = [None] * len(trains)
-        if not _stackable(self, trains):
-            return super().fit_many(trains, hparams, seeds_list, valids=valids)
-        return _fit_many_stacked(self, trains, hparams, seeds_list, valids)
+        hparams_list = per_item_hparams(hparams, len(trains))
+        if not _stackable(self, trains, hparams_list):
+            return super().fit_many(trains, hparams_list, seeds_list, valids=valids)
+        return _fit_many_stacked(self, trains, hparams_list, seeds_list, valids)
 
     def evaluate(self, model: MLPNetwork, dataset: Dataset) -> float:
         metric = METRICS[self.metric_name]

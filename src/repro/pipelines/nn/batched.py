@@ -98,7 +98,8 @@ class BatchedNetwork:
     directly consumable by the element-wise serial optimizers
     (:class:`~repro.pipelines.nn.optimizers.SGD` /
     :class:`~repro.pipelines.nn.optimizers.Adam`): one optimizer instance
-    updates all B seeds' tensors per step.
+    updates all B seeds' tensors per step, with one shared or B per-slice
+    values of each hyperparameter.
     """
 
     def __init__(self, networks: Sequence[MLPNetwork]) -> None:

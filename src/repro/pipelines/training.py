@@ -17,7 +17,7 @@ subset while holding the others fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -163,34 +163,42 @@ def train_network_many(
     batched: "BatchedNetwork",
     trains: Sequence[Dataset],
     optimizer: Optimizer,
-    config: TrainingConfig,
+    configs: Sequence[TrainingConfig],
     seeds_list: Sequence[SeedBundle],
 ) -> List[TrainingHistory]:
-    """Train B stacked networks in lockstep, one per ``(train, seeds)`` pair.
+    """Train B stacked networks in lockstep, one per ``(train, config, seeds)``.
 
     The vectorized twin of :func:`train_network`: every random stream
     (order permutations, dropout masks, augmentations, the numerical
     perturbation) is consumed *per item* from that item's own seed bundle
     in exactly the order the serial loop consumes it, while the arithmetic
     between draws (forward, backward, optimizer step) runs once on the
-    ``(B, ...)`` stacks.  All items share the optimizer hyperparameters and
-    the training configuration, and every training set must have the same
-    shape — :meth:`repro.pipelines.base.Pipeline.fit_many` checks this and
-    falls back to a serial loop otherwise.
+    ``(B, ...)`` stacks.  Each item keeps its own learning-rate schedule,
+    and the optimizer may hold per-slice ``(B,)`` hyperparameters (see
+    :mod:`repro.pipelines.nn.optimizers`), so the items of one batch can
+    train under different hyperparameters.  Everything else in the configs
+    must agree, and every training set must have the same shape —
+    :meth:`repro.pipelines.base.Pipeline.fit_many` checks this and falls
+    back to a serial loop otherwise.
 
     Returns one :class:`TrainingHistory` per item, bitwise-equal to the
     serial histories.
     """
+    trains = list(trains)
+    configs = list(configs)
+    seeds_list = list(seeds_list)
+    n_items = batched.n_items
+    if not len(trains) == len(configs) == len(seeds_list) == n_items:
+        raise ValueError("trains, configs, seeds_list and the batch must align")
+    config = configs[0]
+    shared = replace(config, schedule=None)
+    if any(replace(item, schedule=None) != shared for item in configs):
+        raise ValueError("stacked items may differ only in their schedule")
     check_positive_int(config.n_epochs, "n_epochs")
     check_positive_int(config.batch_size, "batch_size")
-    trains = list(trains)
-    seeds_list = list(seeds_list)
-    if len(trains) != len(seeds_list) or len(trains) != batched.n_items:
-        raise ValueError("trains, seeds_list and the batch must align")
     n_samples = trains[0].n_samples
     if any(t.n_samples != n_samples for t in trains):
         raise ValueError("all training sets must have the same size")
-    n_items = batched.n_items
     order_rngs = [seeds.rng_for("order") for seeds in seeds_list]
     dropout_rngs = (
         [seeds.rng_for("dropout") for seeds in seeds_list]
@@ -204,12 +212,13 @@ def train_network_many(
     )
     histories = [TrainingHistory() for _ in range(n_items)]
     parameters = batched.parameters()
+    base_rates = np.broadcast_to(optimizer.learning_rate, (n_items,))
     for epoch in range(config.n_epochs):
-        lr = (
-            config.schedule(epoch)
-            if config.schedule is not None
-            else optimizer.learning_rate
-        )
+        lrs = [
+            item.schedule(epoch) if item.schedule is not None else base_rates[index]
+            for index, item in enumerate(configs)
+        ]
+        lr = np.array(lrs, dtype=float)
         X_epochs = []
         for index, train in enumerate(trains):
             X_epoch = train.X
@@ -237,7 +246,7 @@ def train_network_many(
             epoch_losses += losses * batch_indices[0].size
         for index in range(n_items):
             histories[index].losses.append(float(epoch_losses[index] / n_samples))
-            histories[index].learning_rates.append(lr)
+            histories[index].learning_rates.append(lrs[index])
     if config.numerical_noise_scale > 0:
         batched.perturb_parameters(
             config.numerical_noise_scale,

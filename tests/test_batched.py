@@ -19,6 +19,12 @@ weight tensor.  That contract is pinned at four levels:
   rows at ``batch_size`` 1/4/16, with the workhorse variance study
   additionally swept over every backend.
 
+Items may also differ in their hyperparameters: the stacked optimizers take
+per-slice ``(B,)`` learning rate, momentum and weight decay, which is what
+lets B HOpt runs advance in lockstep (``measure_with_hpo_many``).  The
+lockstep matrix pins whole ``HPOResult`` objects and measurements against
+the serial ``measure_with_hpo`` for every algorithm, batch size and backend.
+
 Shared-memory dataset arena lifecycle (publish-once, attach-cached,
 crash/cancel cleanup) is covered at the bottom.
 """
@@ -41,6 +47,10 @@ from repro.engine.cache import MeasurementCache
 from repro.engine.executor import CancellableExecutor, ParallelExecutor
 from repro.engine.runner import StudyRunner, WorkItem
 from repro.engine.shm import DatasetHandle, SharedDatasetArena, shared_arena
+from repro.data.resampling import BootstrapResampler
+from repro.hpo.bayesopt import BayesianOptimization
+from repro.hpo.grid import GridSearch, NoisyGridSearch
+from repro.hpo.random_search import RandomSearch
 from repro.pipelines.base import Pipeline, FitOutcome
 from repro.pipelines.linear import LogisticRegressionPipeline, RidgeRegressionPipeline
 from repro.pipelines.mlp import MLPClassifierPipeline, MLPRegressorPipeline, _stackable
@@ -52,6 +62,7 @@ from repro.pipelines.nn.batched import (
 )
 from repro.pipelines.nn.losses import cross_entropy_loss, mse_loss, softmax
 from repro.pipelines.nn.network import MLPNetwork
+from repro.pipelines.nn.optimizers import SGD, Adam
 from repro.utils.rng import SeedScope
 
 
@@ -141,6 +152,90 @@ class TestBatchedKernels:
             BatchedNetwork([a, b])
 
 
+def _bits(value):
+    """Exact bytes of a float or float array: tells ``-0.0`` from ``+0.0``."""
+    if value is None:
+        return None
+    return np.ascontiguousarray(value, dtype=float).tobytes()
+
+
+def _recording(optimizer):
+    """Record the gradients ``step`` hands to ``update`` (decay included)."""
+    seen = []
+    update = optimizer.update
+
+    def record(parameters, gradients, learning_rate):
+        seen.append([g.copy() for g in gradients])
+        update(parameters, gradients, learning_rate)
+
+    optimizer.update = record
+    return seen
+
+
+class TestPerSliceOptimizers:
+    LEARNING_RATES = [0.1, 0.03, 0.2]
+    MOMENTA = [0.9, 0.5, 0.0]
+    #: Slice 1 has no weight decay and a gradient holding -0.0 entries.
+    WEIGHT_DECAYS = [1e-3, 0.0, 5e-2]
+    GAMMA = 0.9
+
+    def _stacks(self):
+        rng = np.random.default_rng(17)
+        params = [rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5))]
+        grads = [[rng.normal(size=p.shape) for p in params] for _ in range(3)]
+        for step in grads:
+            step[0][1, 0, :] = -0.0
+            step[1][1, :2] = -0.0
+        return params, grads
+
+    def _build(self, cls, index=None):
+        """The stacked optimizer, or the serial one of slice ``index``."""
+
+        def pick(values):
+            return values if index is None else values[index]
+
+        if cls is SGD:
+            return SGD(
+                pick(self.LEARNING_RATES),
+                momentum=pick(self.MOMENTA),
+                weight_decay=pick(self.WEIGHT_DECAYS),
+            )
+        return Adam(pick(self.LEARNING_RATES), weight_decay=pick(self.WEIGHT_DECAYS))
+
+    @pytest.mark.parametrize("cls", [SGD, Adam])
+    def test_stacked_step_bitwise_equals_serial_steps(self, cls):
+        params, grads = self._stacks()
+        stacked_params = [p.copy() for p in params]
+        stacked = self._build(cls)
+        stacked_seen = _recording(stacked)
+        for epoch, step in enumerate(grads):
+            # Per-item schedules: each slice decays its own learning rate.
+            lr = np.array(
+                [rate * self.GAMMA**epoch for rate in self.LEARNING_RATES]
+            )
+            stacked.step(stacked_params, step, lr)
+        for index in range(3):
+            serial_params = [p[index].copy() for p in params]
+            serial = self._build(cls, index)
+            serial_seen = _recording(serial)
+            for epoch, step in enumerate(grads):
+                lr = self.LEARNING_RATES[index] * self.GAMMA**epoch
+                serial.step(serial_params, [g[index] for g in step], lr)
+            for got, expected in zip(stacked_params, serial_params):
+                assert _bits(got[index]) == _bits(expected)
+            for got_step, expected_step in zip(stacked_seen, serial_seen):
+                for got, expected in zip(got_step, expected_step):
+                    assert _bits(got[index]) == _bits(expected)
+
+    def test_rejects_out_of_range_slices(self):
+        with pytest.raises(ValueError):
+            SGD([0.1, 0.0])
+        with pytest.raises(ValueError):
+            SGD([0.1, 0.1], weight_decay=[0.0, -1e-3])
+        with pytest.raises(ValueError):
+            SGD([0.1, 0.1], momentum=[0.5, 1.0])
+
+
 # ----------------------------------------------------------------------
 # Pipelines: fit_many == N x fit, bitwise; non-stackable inputs fall back
 # ----------------------------------------------------------------------
@@ -225,6 +320,50 @@ class TestFitManyParity:
         ]
         batched = pipeline.fit_many([train_a, train_b], hparams, bundles)
         _assert_outcomes_bitwise(batched, serial)
+
+    @pytest.mark.parametrize("pipeline,task_type", PIPELINES)
+    def test_fit_many_per_item_hparams_bitwise_equals_serial_fits(
+        self, pipeline, task_type
+    ):
+        dataset = _dataset_for(task_type)
+        train = Dataset(dataset.X[:90], dataset.y[:90], name="t", task_type=task_type)
+        valid = Dataset(dataset.X[90:], dataset.y[90:], name="v", task_type=task_type)
+        bundles = _bundles("per-item", 3)
+        base = pipeline.default_hparams()
+        hparams_list = [
+            dict(base, learning_rate=0.05, weight_decay=1e-3, momentum=0.8, gamma=0.9),
+            dict(base, learning_rate=0.01, weight_decay=0.0, momentum=0.0, gamma=1.0),
+            dict(base, learning_rate=0.2, weight_decay=3e-2, momentum=0.95, gamma=0.97),
+        ]
+        if "init_scale" in base:
+            hparams_list[2]["init_scale"] = 0.3
+        serial = [
+            pipeline.fit(train, hparams, seeds, valid=valid)
+            for hparams, seeds in zip(hparams_list, bundles)
+        ]
+        batched = pipeline.fit_many(
+            [train] * 3, hparams_list, bundles, valids=[valid] * 3
+        )
+        _assert_outcomes_bitwise(batched, serial)
+
+    def test_unequal_dropout_rates_fall_back_to_sequential(self):
+        pipeline = MLPClassifierPipeline(hidden_sizes=(8,), n_epochs=2)
+        train = Dataset(_blobs().X[:60], _blobs().y[:60], name="a")
+        hparams_list = [{"dropout_rate": 0.1}, {"dropout_rate": 0.2}]
+        assert not _stackable(pipeline, [train, train], hparams_list)
+        bundles = _bundles("dropout", 2)
+        serial = [
+            pipeline.fit(train, hparams, seeds)
+            for hparams, seeds in zip(hparams_list, bundles)
+        ]
+        batched = pipeline.fit_many([train, train], hparams_list, bundles)
+        _assert_outcomes_bitwise(batched, serial)
+
+    def test_fit_many_needs_one_mapping_per_item(self):
+        pipeline = MLPClassifierPipeline(hidden_sizes=(8,), n_epochs=1)
+        train = Dataset(_blobs().X[:60], _blobs().y[:60], name="a")
+        with pytest.raises(ValueError):
+            pipeline.fit_many([train] * 3, [{}, {}], _bundles("align", 3))
 
     def test_default_fit_many_is_sequential_for_plain_pipelines(self):
         class Stub(Pipeline):
@@ -385,6 +524,167 @@ class TestRunnerBatching:
         assert [len(task) for task in tasks] == [4, 1, 3]
         flat = [p for chunk in positions for p in chunk]
         assert sorted(flat) == list(range(len(items)))
+
+
+# ----------------------------------------------------------------------
+# Lockstep HPO: B HOpt runs trial by trial == B serial measure_with_hpo
+# ----------------------------------------------------------------------
+HPO_BUDGET = 4
+
+LOCKSTEP_PIPELINES = {
+    "sgd": MLPClassifierPipeline(hidden_sizes=(8,), n_epochs=2, batch_size=16),
+    "adam": MLPClassifierPipeline(
+        hidden_sizes=(8,),
+        n_epochs=2,
+        batch_size=16,
+        optimizer="adam",
+        dropout_rate=0.2,
+        numerical_noise_scale=1e-4,
+    ),
+}
+
+
+def _hpo_algorithms():
+    # Budget 4 > n_initial_points=2: the last two BayesOpt trials fit the GP.
+    return [
+        RandomSearch(),
+        GridSearch(),
+        NoisyGridSearch(),
+        BayesianOptimization(n_initial_points=2, n_candidates=16),
+    ]
+
+
+def _config_bits(config):
+    return {name: _bits(value) for name, value in config.items()}
+
+
+def _hpo_fingerprint(measurement):
+    """Every field of a with-HPO measurement, floats as exact bytes."""
+    trials = measurement.hpo_result.trials
+    return {
+        "test": _bits(measurement.test_score),
+        "valid": _bits(measurement.valid_score),
+        "train": _bits(measurement.train_score),
+        "hparams": _config_bits(measurement.hparams),
+        "seeds": measurement.seeds,
+        "n_fits": measurement.n_fits,
+        "trials": [
+            (trial.index, _config_bits(trial.config), _bits(trial.value))
+            for trial in trials
+        ],
+    }
+
+
+def _serial_hpo(dataset, pipeline, items, resampler=None):
+    """Reference: one stand-alone serial measure_with_hpo per item."""
+    return [
+        BenchmarkProcess(
+            dataset,
+            pipeline,
+            resampler=resampler,
+            hpo_algorithm=item.hpo_algorithm,
+            hpo_budget=HPO_BUDGET,
+        ).measure_with_hpo(item.seeds)
+        for item in items
+    ]
+
+
+def _hpo_items(count, label="lockstep"):
+    scope = SeedScope.from_state(29)
+    algorithms = _hpo_algorithms()
+    return [
+        WorkItem(
+            seeds=scope.child(label, i).bundle(),
+            with_hpo=True,
+            hpo_algorithm=algorithms[i % len(algorithms)],
+        )
+        for i in range(count)
+    ]
+
+
+class TestLockstepHPO:
+    @pytest.mark.parametrize("n_items", [1, 2, 3, 8])
+    @pytest.mark.parametrize("pipeline_name", sorted(LOCKSTEP_PIPELINES))
+    def test_lockstep_bitwise_equals_serial_measure_with_hpo(
+        self, pipeline_name, n_items
+    ):
+        pipeline = LOCKSTEP_PIPELINES[pipeline_name]
+        dataset = _blobs(seed=2, n=80)
+        items = _hpo_items(n_items)
+        process = BenchmarkProcess(dataset, pipeline, hpo_budget=HPO_BUDGET)
+        trains = [process.split(item.seeds)[0] for item in items]
+        assert _stackable(pipeline, trains) == (n_items > 1)
+        got = process.measure_with_hpo_many(
+            [item.seeds for item in items], [item.hpo_algorithm for item in items]
+        )
+        expected = _serial_hpo(dataset, pipeline, items)
+        assert [_hpo_fingerprint(m) for m in got] == [
+            _hpo_fingerprint(m) for m in expected
+        ]
+        # Algorithms are copied per item, never mutated by the lockstep run.
+        assert all(getattr(item.hpo_algorithm, "_grid", None) is None for item in items)
+
+    def test_unstackable_batch_falls_back_to_serial_loop(self):
+        # Unstratified bootstrap of a dataset with a single top-class
+        # sample: item 3's training set misses that class, so its network
+        # is narrower and the batch cannot stack.
+        blobs = make_gaussian_blobs(
+            n_samples=60, n_features=6, n_classes=2, random_state=4
+        )
+        labels = blobs.y.copy()
+        labels[0] = 2
+        dataset = Dataset(blobs.X, labels, name="rare")
+        resampler = BootstrapResampler(stratify=False)
+        pipeline = LOCKSTEP_PIPELINES["sgd"]
+        scope = SeedScope.from_state(11)
+        algorithms = _hpo_algorithms()
+        items = [
+            WorkItem(
+                seeds=scope.child("rare", i).bundle(),
+                with_hpo=True,
+                hpo_algorithm=algorithms[i],
+            )
+            for i in range(4)
+        ]
+        process = BenchmarkProcess(
+            dataset, pipeline, resampler=resampler, hpo_budget=HPO_BUDGET
+        )
+        trains = [process.split(item.seeds)[0] for item in items]
+        assert not _stackable(pipeline, trains)
+        got = process.measure_with_hpo_many(
+            [item.seeds for item in items], [item.hpo_algorithm for item in items]
+        )
+        expected = _serial_hpo(dataset, pipeline, items, resampler=resampler)
+        assert [_hpo_fingerprint(m) for m in got] == [
+            _hpo_fingerprint(m) for m in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "backend,n_jobs", [("serial", 1), ("thread", 2), ("process", 2)]
+    )
+    def test_runner_lockstep_matrix_bitwise(self, backend, n_jobs):
+        pipeline = LOCKSTEP_PIPELINES["sgd"]
+        dataset = _blobs(seed=2, n=80)
+        process = BenchmarkProcess(dataset, pipeline, hpo_budget=HPO_BUDGET)
+        # Mixed algorithms: one task of 6 inline, two of 3 on 2 workers.
+        items = _hpo_items(6, label="runner")
+        reference = _serial_hpo(dataset, pipeline, items)
+        executor = ParallelExecutor(n_jobs, backend=backend, batch_size=8)
+        with executor:
+            got = StudyRunner(process, executor=executor).run(items)
+        assert [_hpo_fingerprint(m) for m in got] == [
+            _hpo_fingerprint(m) for m in reference
+        ]
+
+    @pytest.mark.parametrize("n_jobs,sizes", [(2, [3, 3]), (1, [6])])
+    def test_plan_batches_spreads_hpo_items_over_workers(self, n_jobs, sizes):
+        process = BenchmarkProcess(_blobs(), LOCKSTEP_PIPELINES["sgd"])
+        items = _hpo_items(6, label="plan")
+        executor = ParallelExecutor(n_jobs, backend="thread", batch_size=8)
+        tasks, positions = StudyRunner(process, executor=executor)._plan_batches(items)
+        assert [len(task) for task in tasks] == sizes
+        assert [p for chunk in positions for p in chunk] == list(range(6))
+        assert all(item.with_hpo for task in tasks for item in task)
 
 
 # ----------------------------------------------------------------------
